@@ -9,6 +9,7 @@ header order. The same container carries full checkpoints and adapter files
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -21,7 +22,8 @@ from .errors import (
     CheckpointVersionError,
     UnknownTensorError,
 )
-from .model import ModelConfig
+from .model import ModelConfig, ParamStatus, ParamStore, param_shapes
+from .tensor import Tensor
 
 MAGIC = b"SPFC"
 FORMAT_VERSION = 1
@@ -60,36 +62,74 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     (header_len,) = struct.unpack("<I", raw[5:9])
     if len(raw) < 9 + header_len:
         raise CheckpointTruncatedError(f"{path}: header truncated")
-    header = json.loads(raw[9:9 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[9:9 + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+        raise CheckpointFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+        raise CheckpointFormatError(f"{path}: header is not an object with a tensors list")
+    if not isinstance(header.get("plan_spec"), (str, type(None))):
+        raise CheckpointFormatError(
+            f"{path}: plan spec {header['plan_spec']!r} is not a string")
 
     tensors: dict[str, np.ndarray] = {}
     offset = 9 + header_len
     for entry in header["tensors"]:
-        if entry["dtype"] != "<f8":
-            raise CheckpointFormatError(f"{path}: unsupported dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+        name, shape = _entry_name_and_shape(path, entry)
+        if name in tensors:
+            raise CheckpointFormatError(f"{path}: tensor {name!r} declared twice")
+        nbytes = math.prod(shape) * 8
         chunk = raw[offset:offset + nbytes]
         if len(chunk) < nbytes:
-            raise CheckpointTruncatedError(
-                f"{path}: payload for {entry['name']!r} truncated")
-        tensors[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+            raise CheckpointTruncatedError(f"{path}: payload for {name!r} truncated")
+        tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
         raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")
     return header, tensors
 
 
+def _entry_name_and_shape(path, entry) -> tuple[str, tuple[int, ...]]:
+    """Name and shape of one header tensor entry, checked against the schema:
+    a string name, a list of non-negative ints, and the one dtype ``<f8``."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise CheckpointFormatError(f"{path}: tensor entry {entry!r} has no string name")
+    name, shape = entry["name"], entry.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise CheckpointFormatError(
+            f"{path}: tensor {name!r} shape {shape!r} is not a list of non-negative ints")
+    if entry.get("dtype") != "<f8":
+        raise CheckpointFormatError(f"{path}: unsupported dtype {entry.get('dtype')!r}")
+    return name, tuple(shape)
+
+
 def config_from_header(header: dict) -> ModelConfig:
-    return ModelConfig(**header["config"])
+    config = header.get("config")
+    try:
+        return ModelConfig(**config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"container config {config!r} is invalid: {exc}") from exc
+
+
+def check_tensors(path: str | Path, tensors: dict[str, np.ndarray],
+                  expected_shapes: dict[str, tuple[int, ...]]) -> None:
+    """Reject by name any tensor beyond ``expected_shapes``, any missing
+    tensor, and any tensor whose shape differs from its expected one."""
+    for name in tensors:
+        if name not in expected_shapes:
+            raise UnknownTensorError(f"{path}: unknown tensor {name!r}")
+    for name, shape in expected_shapes.items():
+        if name not in tensors:
+            raise UnknownTensorError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"expected {shape}")
 
 
 def save_checkpoint(store, path: str | Path, plan_spec: str | None = None) -> None:
     """Write every base tensor plus any attached LoRA factors."""
-    tensors: dict[str, np.ndarray] = {p: t.data for p, t in store.params.items()}
-    for target, pair in store.lora.items():
-        tensors[f"{target}.lora_A"] = pair.down.data
-        tensors[f"{target}.lora_B"] = pair.up.data
+    tensors = {name: t.data for name, t in (store.params | store.factors()).items()}
     write_container(path, "checkpoint", store.config, tensors, plan_spec)
 
 
@@ -103,45 +143,28 @@ def load_checkpoint_with_plan(path: str | Path):
 
     Strict: the file must contain exactly the base paths implied by its own
     config, plus factor tensors for the recorded plan's targets. Anything
-    extra or missing is rejected by name.
+    extra, missing or misshapen is rejected by name.
     """
-    from .model import ParamStatus, ParamStore, param_shapes
-    from .plan import attach_lora, compile_plan, parse_plan_spec
+    from .plan import attach_lora, compile_plan, factor_shapes, parse_plan_spec
 
     header, tensors = read_container(path)
     if header.get("kind") != "checkpoint":
         raise CheckpointFormatError(f"{path}: container kind {header.get('kind')!r} "
                                     "is not a checkpoint")
     config = config_from_header(header)
-
-    expected = dict(param_shapes(config))
+    base_shapes = param_shapes(config)
     plan = None
     if header.get("plan_spec"):
         plan = compile_plan(parse_plan_spec(header["plan_spec"]), config)
-        for target in plan.lora_targets:
-            out_dim, in_dim = expected[target]
-            expected[f"{target}.lora_A"] = (config.lora_rank, in_dim)
-            expected[f"{target}.lora_B"] = (out_dim, config.lora_rank)
+    check_tensors(path, tensors,
+                  base_shapes | (factor_shapes(plan) if plan is not None else {}))
 
-    for name in tensors:
-        if name not in expected:
-            raise UnknownTensorError(f"{path}: unknown tensor {name!r}")
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise UnknownTensorError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape}")
-
-    from .tensor import Tensor
     store = ParamStore(config)
-    for name, shape in param_shapes(config).items():
+    for name in base_shapes:
         store.params[name] = Tensor(tensors[name], requires_grad=True)
         store.status[name] = ParamStatus.TUNABLE
     if plan is not None:
         attach_lora(store, plan, seed=0)
-        for target, pair in store.lora.items():
-            pair.down.data[...] = tensors[f"{target}.lora_A"]
-            pair.up.data[...] = tensors[f"{target}.lora_B"]
+        for name, t in store.factors().items():
+            t.data[...] = tensors[name]
     return store, plan

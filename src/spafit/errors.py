@@ -47,7 +47,7 @@ class CheckpointError(SpafitError, ValueError):
 
 
 class CheckpointFormatError(CheckpointError):
-    """File does not start with the expected container magic."""
+    """Container bytes, header or tensor shapes do not follow the format."""
 
 
 class CheckpointVersionError(CheckpointError):

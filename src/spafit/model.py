@@ -21,7 +21,6 @@ from .tensor import Tensor
 
 LAYER_NORM_EPS = 1e-12
 INIT_STD = 0.02
-ATTENTION_MASK_BIAS = -1e9
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,14 @@ class ModelConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if self.num_layers < 0:
-            raise ValueError(f"num_layers must be >= 0, got {self.num_layers}")
+        if type(self.num_layers) is not int or self.num_layers < 0:
+            raise ValueError(f"num_layers must be an int >= 0, got {self.num_layers!r}")
         for name in ("hidden_size", "num_heads", "ffn_size", "vocab_size",
                      "max_positions", "type_vocab_size", "num_labels",
                      "lora_rank", "lora_alpha"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}")
@@ -76,6 +76,9 @@ class ParamStatus(enum.Enum):
     BIAS_TUNABLE = "bias_tunable"
     LORA_AUGMENTED = "lora_augmented"
     TUNABLE = "tunable"
+
+
+TRAINABLE_STATUSES = (ParamStatus.TUNABLE, ParamStatus.BIAS_TUNABLE)
 
 
 LAYER_SUBPATHS: tuple[tuple[str, str], ...] = (
@@ -164,6 +167,11 @@ class LoraPair:
         return self.alpha / self.rank
 
 
+def factor_names(target: str) -> tuple[str, str]:
+    """Container names of the (A, B) low-rank factors attached to ``target``."""
+    return f"{target}.lora_A", f"{target}.lora_B"
+
+
 class ParamStore:
     """Named parameters, their fine-tune statuses, and attached LoRA pairs."""
 
@@ -172,6 +180,8 @@ class ParamStore:
         self.params: dict[str, Tensor] = {}
         self.status: dict[str, ParamStatus] = {}
         self.lora: dict[str, LoraPair] = {}
+        # Values of base tensors before an adapter swap first overwrote them.
+        self.swapped_base: dict[str, np.ndarray] = {}
 
     def __contains__(self, path: str) -> bool:
         return path in self.params
@@ -179,31 +189,27 @@ class ParamStore:
     def paths(self) -> list[str]:
         return list(self.params)
 
-    def total_parameters(self, include_task_head: bool = True) -> int:
-        """Sum of base tensor sizes (LoRA factors not included).
-
-        The task head is the classifier alone; the pooler always counts as
-        part of the base model.
-        """
-        return sum(t.data.size for p, t in self.params.items()
-                   if include_task_head or not p.startswith("classifier."))
+    def factors(self) -> dict[str, Tensor]:
+        """Attached low-rank factors by container name, in attachment order."""
+        out: dict[str, Tensor] = {}
+        for target, pair in self.lora.items():
+            a_name, b_name = factor_names(target)
+            out[a_name], out[b_name] = pair.down, pair.up
+        return out
 
     def trainable_parameters(self) -> dict[str, Tensor]:
-        """Tensors the optimizer may move, in deterministic path order."""
-        out: dict[str, Tensor] = {}
-        for path, t in self.params.items():
-            if self.status[path] in (ParamStatus.TUNABLE, ParamStatus.BIAS_TUNABLE):
-                out[path] = t
-        for target, pair in self.lora.items():
-            out[f"{target}.lora_A"] = pair.down
-            out[f"{target}.lora_B"] = pair.up
-        return out
+        """Tensors the optimizer may move, and so everything an adapter owns,
+        by container name in deterministic path order."""
+        out = {path: t for path, t in self.params.items()
+               if self.status[path] in TRAINABLE_STATUSES}
+        return out | self.factors()
 
     def clone(self) -> "ParamStore":
         dup = ParamStore(self.config)
         for path, t in self.params.items():
             dup.params[path] = Tensor(t.data.copy(), requires_grad=t.requires_grad)
         dup.status = dict(self.status)
+        dup.swapped_base = {path: data.copy() for path, data in self.swapped_base.items()}
         for target, pair in self.lora.items():
             dup.lora[target] = LoraPair(
                 down=Tensor(pair.down.data.copy(), requires_grad=pair.down.requires_grad),
@@ -253,8 +259,7 @@ def _linear(store: ParamStore, prefix: str, x: Tensor) -> Tensor:
     return y
 
 
-def _self_attention(store: ParamStore, layer: int, x: Tensor,
-                    attention_mask: Tensor | None) -> Tensor:
+def _self_attention(store: ParamStore, layer: int, x: Tensor) -> Tensor:
     cfg = store.config
     base = f"encoder.layer.{layer}.attention.self"
     q = _linear(store, f"{base}.query", x)
@@ -269,16 +274,13 @@ def _self_attention(store: ParamStore, layer: int, x: Tensor,
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
     scores = T.matmul(q, T.transpose(k)) * (1.0 / math.sqrt(hd))
-    if attention_mask is not None:
-        scores = scores + attention_mask
     probs = T.softmax(scores)
     context = T.matmul(probs, v)
     return T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, seq, cfg.hidden_size))
 
 
 def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = "eval",
-                          rng: np.random.Generator | None = None,
-                          attention_mask: Tensor | None = None) -> Tensor:
+                          rng: np.random.Generator | None = None) -> Tensor:
     """One encoder layer; input and output are [batch, seq, hidden]."""
     cfg = store.config
     if x.data.ndim != 3 or x.data.shape[-1] != cfg.hidden_size:
@@ -287,7 +289,7 @@ def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = 
     p = cfg.dropout_p
     base = f"encoder.layer.{layer}"
 
-    attn = _self_attention(store, layer, x, attention_mask)
+    attn = _self_attention(store, layer, x)
     attn = T.dropout(attn, p, mode, rng)
     attn = _linear(store, f"{base}.attention.output.dense", attn)
     x = T.layer_norm(attn + x,
@@ -305,20 +307,12 @@ def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = 
     return T.dropout(x, p, mode, rng)
 
 
-def make_attention_mask(pad_mask: np.ndarray) -> Tensor:
-    """Turn a [batch, seq] 1/0 keep-mask into an additive score mask."""
-    bias = (1.0 - np.asarray(pad_mask, dtype=np.float64)) * ATTENTION_MASK_BIAS
-    return Tensor(bias[:, None, None, :])
-
-
 def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray,
-                  mode: str = "eval", rng: np.random.Generator | None = None,
-                  pad_mask: np.ndarray | None = None) -> Tensor:
+                  mode: str = "eval", rng: np.random.Generator | None = None) -> Tensor:
     """Embeddings -> encoder stack -> pooled first token -> task head logits.
 
     ``token_ids`` and ``type_ids`` are [batch, seq] int arrays; the returned
-    logits are [batch, num_labels]. ``pad_mask`` (1 = keep) masks attention
-    keys at padded positions.
+    logits are [batch, num_labels].
     """
     cfg = store.config
     token_ids = np.asarray(token_ids)
@@ -347,9 +341,8 @@ def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray
                      LAYER_NORM_EPS)
     x = T.dropout(x, cfg.dropout_p, mode, rng)
 
-    mask = make_attention_mask(pad_mask) if pad_mask is not None else None
     for layer in range(cfg.num_layers):
-        x = encoder_layer_forward(store, layer, x, mode, rng, mask)
+        x = encoder_layer_forward(store, layer, x, mode, rng)
 
     pooled = T.tanh(_linear(store, "pooler.dense", T.first_token(x)))
     return _linear(store, "classifier", pooled)

@@ -24,24 +24,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import (
+    check_tensors,
     config_from_header,
     read_container,
     write_container,
 )
-from .errors import CompatibilityError, PlanError, UnknownTensorError
+from .errors import CheckpointFormatError, CompatibilityError, PlanError
 from .model import (
     INIT_STD,
+    TRAINABLE_STATUSES,
     LoraPair,
     ModelConfig,
     ParamStatus,
     ParamStore,
+    factor_names,
     is_head_path,
     layer_number,
     param_shapes,
 )
 from .tensor import Tensor
-
-TRAINABLE_STATUSES = (ParamStatus.TUNABLE, ParamStatus.BIAS_TUNABLE)
 
 _LORA_SUBPATHS_I = ("attention.self.query.weight",
                     "attention.self.key.weight",
@@ -232,12 +233,23 @@ def attach_lora(store: ParamStore, plan: FinetunePlan, seed: int) -> ParamStore:
     return store
 
 
+def factor_shapes(plan: FinetunePlan) -> dict[str, tuple[int, int]]:
+    """Container name -> shape of every low-rank factor ``plan`` attaches."""
+    shapes, r = param_shapes(plan.config), plan.config.lora_rank
+    out: dict[str, tuple[int, int]] = {}
+    for target in plan.lora_targets:
+        out_dim, in_dim = shapes[target]
+        a_name, b_name = factor_names(target)
+        out[a_name], out[b_name] = (r, in_dim), (out_dim, r)
+    return out
+
+
 def lora_delta(pair: LoraPair) -> np.ndarray:
     """Effective weight update of one pair: (alpha / rank) * B @ A."""
     return pair.scaling * (pair.up.data @ pair.down.data)
 
 
-def merge_lora(store: ParamStore, plan: FinetunePlan | None = None) -> ParamStore:
+def merge_lora(store: ParamStore) -> ParamStore:
     """Fold every attached pair into its base weight; returns a plain store.
 
     The input store is left untouched. Merging a store with no attached
@@ -352,30 +364,19 @@ def published_reference_m(spec: PlanSpec, config: ModelConfig) -> float | None:
 # -- adapter export / swap -------------------------------------------------------
 
 
-def _exported_tensors(store: ParamStore) -> dict[str, np.ndarray]:
-    """Everything a task adapter owns: factors, tunable biases, head weights."""
-    tensors: dict[str, np.ndarray] = {}
-    for path, status in store.status.items():
-        if status in TRAINABLE_STATUSES:
-            tensors[path] = store.params[path].data
-    for target, pair in store.lora.items():
-        tensors[f"{target}.lora_A"] = pair.down.data
-        tensors[f"{target}.lora_B"] = pair.up.data
-    return tensors
-
-
 def export_adapter(store: ParamStore, plan: FinetunePlan, path) -> None:
     """Write the plan spec plus every trainable value to an adapter file."""
-    write_container(path, "adapter", store.config, _exported_tensors(store),
-                    plan_spec=str(plan.spec))
+    tensors = {name: t.data for name, t in store.trainable_parameters().items()}
+    write_container(path, "adapter", store.config, tensors, plan_spec=str(plan.spec))
 
 
 def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
     """Retarget ``store`` to the task captured in an adapter file.
 
-    Re-realizes the adapter's plan on the store and overwrites every
-    exported value; frozen parameters are untouched. Returns the plan now
-    governing the store.
+    The file is checked before the store changes. Base values an earlier
+    swap overwrote are put back first, so the store ends as what it held
+    before its first swap plus this adapter. Returns the plan now governing
+    the store.
     """
     header, tensors = read_container(adapter_path)
     if header.get("kind") != "adapter":
@@ -386,21 +387,21 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
         raise CompatibilityError(
             f"adapter built for {file_config} cannot attach to a store "
             f"configured {store.config}")
+    if header.get("plan_spec") is None:
+        raise CheckpointFormatError(f"{adapter_path}: adapter records no plan spec")
     plan = compile_plan(parse_plan_spec(header["plan_spec"]), store.config)
+    shapes = param_shapes(store.config)
+    owned = [path for path, status in plan.assignments.items()
+             if status in TRAINABLE_STATUSES]
+    check_tensors(adapter_path, tensors,
+                  {path: shapes[path] for path in owned} | factor_shapes(plan))
+
+    for path, data in store.swapped_base.items():
+        store.params[path].data[...] = data
+    for path in owned:
+        if path not in store.swapped_base:
+            store.swapped_base[path] = store.params[path].data.copy()
     attach_lora(store, plan, seed=0)
-
-    expected = set(_exported_tensors(store))
-    for name in tensors:
-        if name not in expected:
-            raise UnknownTensorError(f"{adapter_path}: unknown tensor {name!r}")
-    for name in expected:
-        if name not in tensors:
-            raise UnknownTensorError(f"{adapter_path}: missing tensor {name!r}")
-
-    for path, status in store.status.items():
-        if status in TRAINABLE_STATUSES:
-            store.params[path].data[...] = tensors[path]
-    for target, pair in store.lora.items():
-        pair.down.data[...] = tensors[f"{target}.lora_A"]
-        pair.up.data[...] = tensors[f"{target}.lora_B"]
+    for name, t in store.trainable_parameters().items():
+        t.data[...] = tensors[name]
     return plan

@@ -237,7 +237,7 @@ def test_criterion_05_merge_equivalence():
         train_cfg = TrainConfig(learning_rate=2e-3, batch_size=16, epochs=10, seed=0)
         train_run(store, plan, task, train_records, val_records, train_cfg)
 
-        merged = merge_lora(store, plan)
+        merged = merge_lora(store)
         assert not merged.lora
         rng = np.random.default_rng(9)
         worst = 0.0

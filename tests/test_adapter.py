@@ -1,10 +1,14 @@
 """Low-rank adapter lifecycle: attach, delta, merge, export, swap."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import spafit.tensor as T
-from spafit.errors import CompatibilityError, PlanError
+from spafit.checkpoint import read_container, save_checkpoint, write_container
+from spafit.cli import main
+from spafit.errors import CheckpointFormatError, CompatibilityError, PlanError
 from spafit.model import LoraPair, ModelConfig, ParamStatus, build_model, model_forward
 from spafit.optim import AdamW, TrainConfig
 from spafit.plan import (
@@ -129,7 +133,7 @@ class TestMerge:
         original = {p: t.data.copy() for p, t in store.params.items()}
         plan = compile_plan(parse_plan_spec("fulllora-II"), CFG)
         attach_lora(store, plan, seed=5)
-        merged = merge_lora(store, plan)
+        merged = merge_lora(store)
         assert not merged.lora
         for p, data in original.items():
             np.testing.assert_array_equal(merged.params[p].data, data)
@@ -139,7 +143,7 @@ class TestMerge:
         plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), CFG)
         attach_lora(store, plan, seed=5)
         train_steps(store, steps=50, lr=5e-3)
-        merged = merge_lora(store, plan)
+        merged = merge_lora(store)
         tokens, types = random_batch(seed=9)
         a = model_forward(store, tokens, types, mode="eval").data
         b = model_forward(merged, tokens, types, mode="eval").data
@@ -151,9 +155,9 @@ class TestMerge:
         store = build_model(CFG, seed=2)
         plan = compile_plan(parse_plan_spec("fulllora-I"), CFG)
         attach_lora(store, plan, seed=5)
-        merged = merge_lora(store, plan)
+        merged = merge_lora(store)
         with pytest.raises(PlanError, match="nothing to merge"):
-            merge_lora(merged, plan)
+            merge_lora(merged)
 
     def test_merge_leaves_source_untouched(self):
         store = build_model(CFG, seed=2)
@@ -161,7 +165,7 @@ class TestMerge:
         attach_lora(store, plan, seed=5)
         store.lora["encoder.layer.0.attention.self.query.weight"].up.data[:] = 1.0
         before = store.params["encoder.layer.0.attention.self.query.weight"].data.copy()
-        merge_lora(store, plan)
+        merge_lora(store)
         np.testing.assert_array_equal(
             store.params["encoder.layer.0.attention.self.query.weight"].data, before)
         assert store.lora  # pairs still attached on the source
@@ -230,9 +234,86 @@ class TestExportSwap:
             swap_adapter(other, adapter)
 
     def test_checkpoint_container_rejected_as_adapter(self, tmp_path):
-        from spafit.checkpoint import save_checkpoint
         store = build_model(CFG, seed=4)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(store, ckpt)
         with pytest.raises(CompatibilityError, match="not an adapter"):
             swap_adapter(store, ckpt)
+
+
+# Three layers, so that spafit:N1=1,N2=2 has a group 3 and modes I and II differ.
+SWAP_CFG = ModelConfig(num_layers=3, hidden_size=8, num_heads=2, ffn_size=16,
+                       vocab_size=30, max_positions=16, lora_rank=2, lora_alpha=4)
+SWAP_PLANS = ("fullft", "fullbitfit", "fulllora-I", "fulllora-II",
+              "spafit:N1=1,N2=2,mode=I", "spafit:N1=1,N2=2,mode=II")
+
+
+@pytest.fixture(scope="module")
+def swap_adapters(tmp_path_factory):
+    """One trained adapter per plan, each from the same seed-4 base."""
+    out = tmp_path_factory.mktemp("adapters")
+    paths = {}
+    for i, text in enumerate(SWAP_PLANS):
+        store = build_model(SWAP_CFG, seed=4)
+        plan = compile_plan(parse_plan_spec(text), SWAP_CFG)
+        attach_lora(store, plan, seed=6)
+        train_steps(store, steps=3, lr=5e-3, seed=i)
+        paths[text] = out / f"{i}.adapter"
+        export_adapter(store, plan, paths[text])
+    return paths
+
+
+def snapshot(store):
+    """Copies of every tensor of a store, by container name."""
+    return {name: t.data.copy() for name, t in (store.params | store.factors()).items()}
+
+
+def assert_same_tensors(got, want, context):
+    assert got.keys() == want.keys(), context
+    for name, data in want.items():
+        np.testing.assert_array_equal(got[name], data, err_msg=f"{context}: {name}")
+
+
+class TestSwapAcrossPlans:
+    def test_every_ordered_pair_matches_fresh_base(self, swap_adapters):
+        tokens, types = random_batch(seed=13)
+        fresh = {}
+        for text, path in swap_adapters.items():
+            ref = build_model(SWAP_CFG, seed=4)
+            swap_adapter(ref, path)
+            fresh[text] = (snapshot(ref), ref.status,
+                           model_forward(ref, tokens, types, mode="eval").data)
+
+        store = build_model(SWAP_CFG, seed=4)
+        for first, second in itertools.permutations(SWAP_PLANS, 2):
+            for text in (first, second):
+                swap_adapter(store, swap_adapters[text])
+                tensors, status, logits = fresh[text]
+                context = f"{first} -> {second}, after {text}"
+                assert_same_tensors(snapshot(store), tensors, context)
+                assert store.status == status, context
+                np.testing.assert_array_equal(
+                    model_forward(store, tokens, types, mode="eval").data, logits,
+                    err_msg=context)
+
+    @pytest.mark.parametrize("bad_shape", [(1,), (5,)])
+    def test_wrong_shape_rejected_before_store_changes(self, swap_adapters, bad_shape,
+                                                       tmp_path, cli_manifest):
+        name = "encoder.layer.0.attention.self.query.bias"
+        header, tensors = read_container(swap_adapters["fullbitfit"])
+        tensors[name] = np.ones(bad_shape)
+        bad = tmp_path / "bad.adapter"
+        write_container(bad, "adapter", SWAP_CFG, tensors, plan_spec=header["plan_spec"])
+
+        store = build_model(SWAP_CFG, seed=4)
+        swap_adapter(store, swap_adapters["spafit:N1=1,N2=2,mode=II"])
+        before, status = snapshot(store), dict(store.status)
+        with pytest.raises(CheckpointFormatError, match=name):
+            swap_adapter(store, bad)
+        assert_same_tensors(snapshot(store), before, "after a rejected swap")
+        assert store.status == status
+
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(SWAP_CFG, seed=4), ckpt)
+        assert main(["swap-adapter", "--manifest", str(cli_manifest),
+                     "--model", str(ckpt), "--adapter", str(bad)]) == 5

@@ -1,5 +1,8 @@
 """Checkpoint container: byte-exact round trips and strict load validation."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,14 +15,22 @@ from spafit.checkpoint import (
     save_checkpoint,
     write_container,
 )
+from spafit.cli import main
 from spafit.errors import (
+    CheckpointError,
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     UnknownTensorError,
 )
 from spafit.model import ModelConfig, build_model
-from spafit.plan import attach_lora, compile_plan, parse_plan_spec
+from spafit.plan import (
+    attach_lora,
+    compile_plan,
+    export_adapter,
+    parse_plan_spec,
+    swap_adapter,
+)
 
 CFG = ModelConfig(num_layers=2, hidden_size=8, num_heads=2, ffn_size=16,
                   vocab_size=20, max_positions=12, lora_rank=2, lora_alpha=4)
@@ -129,3 +140,72 @@ def test_payloads_little_endian_row_major(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == MAGIC
     assert raw[-48:] == arr.astype("<f8").tobytes()
+
+
+def _edit(change):
+    """A header mutation that edits the parsed JSON object in place."""
+    def mutate(header):
+        change(header)
+        return json.dumps(header).encode("utf-8")
+    return mutate
+
+
+def _set_config(**fields):
+    return _edit(lambda h: h["config"].update(fields))
+
+
+# Each returns the new header bytes for a valid parsed header.
+HEADER_MUTATIONS = {
+    "not_utf8": lambda h: b"\xff" + json.dumps(h).encode("utf-8"),
+    "not_json": lambda h: json.dumps(h).encode("utf-8")[:-1],
+    "not_an_object": lambda h: json.dumps([h]).encode("utf-8"),
+    "no_tensors_key": _edit(lambda h: h.pop("tensors")),
+    "tensors_not_a_list": _edit(lambda h: h.update(tensors={})),
+    "entry_not_an_object": _edit(lambda h: h["tensors"].__setitem__(0, "w")),
+    "entry_without_name": _edit(lambda h: h["tensors"][0].pop("name")),
+    "name_not_a_string": _edit(lambda h: h["tensors"][0].update(name=7)),
+    "duplicate_name": _edit(lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"])),
+    "shape_not_a_list": _edit(lambda h: h["tensors"][0].update(shape="8")),
+    "negative_dimension": _edit(
+        lambda h: h["tensors"][0].update(shape=[-n for n in h["tensors"][0]["shape"]])),
+    "float_dimension": _edit(
+        lambda h: h["tensors"][0].update(shape=[float(n) for n in h["tensors"][0]["shape"]])),
+    "wrong_dtype": _edit(lambda h: h["tensors"][0].update(dtype="<f4")),
+    "no_config": _edit(lambda h: h.pop("config")),
+    "config_not_an_object": _edit(lambda h: h.update(config=[8])),
+    "config_unknown_field": _set_config(depth=2),
+    "config_invalid_value": _set_config(hidden_size=7),
+    "config_float_dimension": _set_config(hidden_size=8.0),
+    "config_string_dimension": _set_config(hidden_size="8"),
+    "no_plan_spec": _edit(lambda h: h.pop("plan_spec")),
+    "plan_spec_not_a_string": _edit(lambda h: h.update(plan_spec=5)),
+}
+
+
+def _rewrite_header(path, mutate):
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[5:9])
+    blob = mutate(json.loads(raw[9:9 + length]))
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + length:])
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "adapter"])
+@pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
+def test_header_mutation_rejected(store, tmp_path, cli_manifest, kind, mutation):
+    plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), CFG)
+    attach_lora(store, plan, seed=9)
+    ckpt, adapter = tmp_path / "model.ckpt", tmp_path / "task.adapter"
+    save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
+    export_adapter(store, plan, adapter)
+
+    if kind == "checkpoint":
+        _rewrite_header(ckpt, HEADER_MUTATIONS[mutation])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(ckpt)
+        argv = ["eval", "--model", str(ckpt)]
+    else:
+        _rewrite_header(adapter, HEADER_MUTATIONS[mutation])
+        with pytest.raises(CheckpointError):
+            swap_adapter(store, adapter)
+        argv = ["swap-adapter", "--model", str(ckpt), "--adapter", str(adapter)]
+    assert main(argv + ["--manifest", str(cli_manifest)]) == 5
