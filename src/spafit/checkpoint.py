@@ -145,7 +145,7 @@ def load_checkpoint_with_plan(path: str | Path):
     config, plus factor tensors for the recorded plan's targets. Anything
     extra, missing or misshapen is rejected by name.
     """
-    from .plan import attach_lora, compile_plan, factor_shapes, parse_plan_spec
+    from .plan import attach_factors, compile_plan, factor_shapes, parse_plan_spec
 
     header, tensors = read_container(path)
     if header.get("kind") != "checkpoint":
@@ -164,7 +164,5 @@ def load_checkpoint_with_plan(path: str | Path):
         store.params[name] = Tensor(tensors[name], requires_grad=True)
         store.status[name] = ParamStatus.TUNABLE
     if plan is not None:
-        attach_lora(store, plan, seed=0)
-        for name, t in store.factors().items():
-            t.data[...] = tensors[name]
+        attach_factors(store, plan, tensors)
     return store, plan

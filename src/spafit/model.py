@@ -252,11 +252,10 @@ def _linear(store: ParamStore, prefix: str, x: Tensor) -> Tensor:
     """x @ W^T + b, adding the scaled low-rank path when one is attached."""
     w = store.params[f"{prefix}.weight"]
     b = store.params[f"{prefix}.bias"]
-    y = T.matmul(x, T.transpose(w)) + b
     pair = store.lora.get(f"{prefix}.weight")
-    if pair is not None:
-        y = y + T.matmul(T.matmul(x, T.transpose(pair.down)), T.transpose(pair.up)) * pair.scaling
-    return y
+    if pair is None:
+        return T.linear(x, w, b)
+    return T.linear(x, w, b, pair.down, pair.up, pair.scaling)
 
 
 def _self_attention(store: ParamStore, layer: int, x: Tensor) -> Tensor:

@@ -208,9 +208,23 @@ def attach_lora(store: ParamStore, plan: FinetunePlan, seed: int) -> ParamStore:
     at zero, so the forward pass is bit-identical to the base model until
     training moves them. Returns the mutated store.
     """
+    rng = np.random.default_rng(seed)
+    shapes = factor_shapes(plan)
+    factors: dict[str, np.ndarray] = {}
+    for target in plan.lora_targets:
+        a_name, b_name = factor_names(target)
+        factors[a_name] = rng.standard_normal(shapes[a_name]) * INIT_STD
+        factors[b_name] = np.zeros(shapes[b_name])
+    attach_factors(store, plan, factors)
+    return store
+
+
+def attach_factors(store: ParamStore, plan: FinetunePlan,
+                   factors: dict[str, np.ndarray]) -> None:
+    """Set every path's status and grad flag from ``plan`` and attach its
+    factor pairs, taking their arrays from ``factors`` by container name."""
     if plan.config != store.config:
         raise PlanError("plan was compiled for a different model configuration")
-    rng = np.random.default_rng(seed)
     store.lora.clear()
     for path, status in plan.assignments.items():
         if path not in store.params:
@@ -218,19 +232,17 @@ def attach_lora(store: ParamStore, plan: FinetunePlan, seed: int) -> ParamStore:
         tensor = store.params[path]
         if status is ParamStatus.BIAS_TUNABLE and tensor.data.ndim != 1:
             raise PlanError(f"{path!r} is not a 1-D bias vector")
+        if status is ParamStatus.LORA_AUGMENTED and tensor.data.ndim != 2:
+            raise PlanError(f"low-rank target {path!r} is not a 2-D matrix")
         store.status[path] = status
         tensor.requires_grad = status in TRAINABLE_STATUSES
+    r, alpha = store.config.lora_rank, store.config.lora_alpha
     for target in plan.lora_targets:
-        weight = store.params[target]
-        if weight.data.ndim != 2:
-            raise PlanError(f"low-rank target {target!r} is not a 2-D matrix")
-        out_dim, in_dim = weight.data.shape
-        r, alpha = store.config.lora_rank, store.config.lora_alpha
+        a_name, b_name = factor_names(target)
         store.lora[target] = LoraPair(
-            down=Tensor(rng.standard_normal((r, in_dim)) * INIT_STD, requires_grad=True),
-            up=Tensor(np.zeros((out_dim, r)), requires_grad=True),
+            down=Tensor(factors[a_name], requires_grad=True),
+            up=Tensor(factors[b_name], requires_grad=True),
             rank=r, alpha=alpha, target_path=target)
-    return store
 
 
 def factor_shapes(plan: FinetunePlan) -> dict[str, tuple[int, int]]:
@@ -398,10 +410,9 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
 
     for path, data in store.swapped_base.items():
         store.params[path].data[...] = data
+    attach_factors(store, plan, tensors)
     for path in owned:
         if path not in store.swapped_base:
             store.swapped_base[path] = store.params[path].data.copy()
-    attach_lora(store, plan, seed=0)
-    for name, t in store.trainable_parameters().items():
-        t.data[...] = tensors[name]
+        store.params[path].data[...] = tensors[path]
     return plan

@@ -56,8 +56,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A C-ordered copy: ``g`` may alias another node's gradient or be
+            # a transposed view, and the optimizer runs faster on C order.
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -101,9 +104,11 @@ class Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=needs, parents=parents,
-                  backward_fn=backward_fn if needs else None)
+    """A graph node, or a bare constant when no parent needs a gradient, so
+    frozen subgraphs keep neither their operands nor their closures alive."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
+    return Tensor(data)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -172,6 +177,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _result(data, (a, b), backward_fn)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor | None = None,
+           up: Tensor | None = None, scaling: float = 1.0) -> Tensor:
+    """Dense layer ``x @ w.T + b`` over the last axis of ``x``, plus
+    ``scaling * (x @ down.T) @ up.T`` when a low-rank pair is given.
+
+    Both passes run on ``x`` flattened to 2-D ``[N, in]``: the weight
+    gradient ``g2.T @ x2`` comes out in ``w``'s own ``[out, in]`` layout, and
+    the low-rank path stays inside its rank-r bottleneck ``h = x2 @ down.T``.
+    """
+    n_out, n_in = w.data.shape
+    if x.data.shape[-1] != n_in or b.data.shape != (n_out,):
+        raise ShapeError(f"linear shapes disagree: x {x.data.shape}, w {w.data.shape}, "
+                         f"b {b.data.shape}")
+    x2 = x.data.reshape(-1, n_in)
+    y2 = x2 @ w.data.T
+    y2 += b.data
+    parents = (x, w, b)
+    if down is not None:
+        h = x2 @ down.data.T
+        y2 += (h @ up.data.T) * scaling
+        parents += (down, up)
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, n_out)
+        if down is not None:
+            gh = (g2 @ up.data) * scaling
+        if x.requires_grad:
+            gx = g2 @ w.data
+            if down is not None:
+                gx += gh @ down.data
+            x._accumulate(gx.reshape(x.data.shape))
+        if w.requires_grad:
+            w._accumulate(g2.T @ x2)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+        if down is not None and down.requires_grad:
+            down._accumulate(gh.T @ x2)
+        if down is not None and up.requires_grad:
+            up._accumulate((g2.T @ h) * scaling)
+
+    return _result(y2.reshape(x.data.shape[:-1] + (n_out,)), parents, backward_fn)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -266,9 +314,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF (erf form)."""
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
 
     def backward_fn(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
         x._accumulate(g * (cdf + x.data * pdf))
 
     return _result(x.data * cdf, (x,), backward_fn)

@@ -30,17 +30,21 @@ def finite_difference_grad(fn, values: list[np.ndarray], wrt: int) -> np.ndarray
     return grad / (2.0 * H)
 
 
-def check_gradients(fn_tensors, arrays: list[np.ndarray]):
-    """Compare autodiff and finite-difference gradients for every input."""
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+def check_gradients(fn_tensors, arrays: list[np.ndarray], frozen: tuple[int, ...] = ()):
+    """Compare autodiff and finite-difference gradients for every input;
+    inputs listed in ``frozen`` must instead receive no gradient."""
+    tensors = [Tensor(a.copy(), requires_grad=i not in frozen)
+               for i, a in enumerate(arrays)]
     loss = fn_tensors(tensors)
     loss.backward()
 
     def scalar_fn(vals):
-        frozen = [Tensor(v) for v in vals]
-        return float(fn_tensors(frozen).data)
+        return float(fn_tensors([Tensor(v) for v in vals]).data)
 
     for i, t in enumerate(tensors):
+        if i in frozen:
+            assert t.grad is None, f"frozen input {i} received a gradient"
+            continue
         numeric = finite_difference_grad(scalar_fn, arrays, wrt=i)
         np.testing.assert_allclose(t.grad, numeric, rtol=RTOL, atol=ATOL,
                                    err_msg=f"input {i}")
@@ -59,6 +63,50 @@ def test_matmul_gradients(rng):
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
     w = rng.standard_normal((3, 2))
     check_gradients(lambda ts: weighted_sum(T.matmul(ts[0], ts[1]), w), [a, b])
+
+
+LINEAR_CASES = [(x_shape, lora, frozen)
+                for x_shape in ((5, 3), (2, 4, 3))
+                for lora in (False, True)
+                for frozen in (None, 0, 1, 2) + ((3, 4) if lora else ())]
+
+
+def _linear_arrays(rng, x_shape, lora):
+    arrays = [rng.standard_normal(x_shape), rng.standard_normal((4, 3)),
+              rng.standard_normal(4)]
+    if lora:
+        arrays += [rng.standard_normal((2, 3)), rng.standard_normal((4, 2))]
+    return arrays
+
+
+@pytest.mark.parametrize("x_shape,lora,frozen", LINEAR_CASES)
+def test_linear_gradients(rng, x_shape, lora, frozen):
+    """Inputs x, w, b (and the pair down, up), one of them frozen in turn."""
+    arrays = _linear_arrays(rng, x_shape, lora)
+    w = rng.standard_normal(x_shape[:-1] + (4,))
+    check_gradients(lambda ts: weighted_sum(T.linear(*ts, scaling=1.5), w), arrays,
+                    frozen=() if frozen is None else (frozen,))
+
+
+@pytest.mark.parametrize("x_shape", [(5, 3), (2, 4, 3)])
+def test_linear_matches_primitive_chain(rng, x_shape):
+    """The fused op equals x @ w.T + b + ((x @ down.T) @ up.T) * s built from
+    matmul, transpose, add and scale, in value and every gradient."""
+    arrays = _linear_arrays(rng, x_shape, lora=True)
+    w = rng.standard_normal(x_shape[:-1] + (4,))
+
+    def chain(x, wt, b, down, up):
+        y = T.matmul(x, T.transpose(wt)) + b
+        return y + T.matmul(T.matmul(x, T.transpose(down)), T.transpose(up)) * 1.5
+
+    runs = []
+    for fn in (lambda ts: T.linear(*ts, scaling=1.5), lambda ts: chain(*ts)):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(ts)
+        weighted_sum(out, w).backward()
+        runs.append([out.data] + [t.grad for t in ts])
+    for fused, primitive in zip(*runs):
+        np.testing.assert_allclose(fused, primitive, rtol=0, atol=1e-12)
 
 
 def test_gelu_gradients(rng):

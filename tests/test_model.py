@@ -8,12 +8,14 @@ from spafit.errors import InputError, ShapeError
 from spafit.model import (
     LAYER_NORM_EPS,
     ModelConfig,
+    _linear,
     build_model,
     encoder_layer_forward,
     model_forward,
     param_shapes,
     total_parameter_count,
 )
+from spafit.plan import attach_lora, compile_plan, parse_plan_spec
 from spafit.tensor import Tensor
 
 BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
@@ -265,3 +267,46 @@ class TestModelForward:
                 t.grad = None
         untouched = [p for p, ok in touched.items() if not ok]
         assert not untouched, f"no gradient ever reached: {untouched}"
+
+
+def reachable(loss: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``loss`` through ``_parents``."""
+    seen, stack, out = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node._parents)
+    return out
+
+
+class TestTrainingGraph:
+    @pytest.mark.parametrize("spec,closures", [
+        ("fullft", 120),
+        ("fullbitfit", 113),
+        ("fulllora-II", 113),
+        ("spafit:N1=1,N2=2,mode=II", 86),
+    ])
+    def test_backward_closure_count(self, desk_loss, spec, closures):
+        """Pins the graph size of one desk-size training loss (the primitive
+        matmul/transpose/add/scale linear layers built 172/138/231/153)."""
+        _, loss = desk_loss(spec)
+        assert sum(n._backward_fn is not None for n in reachable(loss)) == closures
+
+    def test_frozen_subgraphs_keep_no_graph(self, desk_loss):
+        _, loss = desk_loss("spafit:N1=1,N2=2,mode=II")
+        for node in reachable(loss):
+            if not node.requires_grad:
+                assert node._parents == () and node._backward_fn is None, node
+
+    def test_linear_layers_are_one_fused_op(self, monkeypatch):
+        store = attach_lora(build_model(TOY, seed=0),
+                            compile_plan(parse_plan_spec("fulllora-I"), TOY), seed=0)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 8)))
+        prefixes = ("pooler.dense", "encoder.layer.0.attention.self.query")
+        expected = [x.data @ store.params[f"{p}.weight"].data.T for p in prefixes]
+        for name in ("matmul", "transpose", "add", "scale"):
+            monkeypatch.setattr(T, name, None)
+        for prefix, want in zip(prefixes, expected):  # fresh biases and B are zero
+            np.testing.assert_allclose(_linear(store, prefix, x).data, want, atol=1e-15)

@@ -161,6 +161,14 @@ class TestBackward:
         T.tensor_sum(x).backward()
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
+    def test_operands_sharing_an_upstream_gradient_accumulate_apart(self):
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([2.0], requires_grad=True)
+        T.tensor_sum(T.add(a, b)).backward()  # both receive the same array
+        T.tensor_sum(a).backward()
+        np.testing.assert_array_equal(a.grad, [2.0])
+        np.testing.assert_array_equal(b.grad, [1.0])
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(GraphError):
@@ -172,6 +180,22 @@ class TestBackward:
         T.tensor_sum(T.mul(x, frozen)).backward()
         assert frozen.grad is None
         np.testing.assert_array_equal(x.grad, [2.0])
+
+
+class TestGradientLayout:
+    def test_leaf_grads_are_fresh_c_ordered_arrays(self, desk_loss):
+        """Guards the optimizer's speed (C order) and the take-over of a first
+        gradient, which must never alias another gradient or any parameter."""
+        store, loss = desk_loss("fullft")
+        loss.backward()
+        params = store.trainable_parameters()
+        grads = {name: t.grad for name, t in params.items()}
+        for name, g in grads.items():
+            assert g.flags.c_contiguous, name
+            assert g.shape == params[name].data.shape, name
+            assert not any(np.shares_memory(g, other) for other_name, other in grads.items()
+                           if other_name != name), name
+            assert not any(np.shares_memory(g, t.data) for t in params.values()), name
 
 
 class TestLosses:
