@@ -22,7 +22,7 @@ from .errors import (
     CheckpointVersionError,
     UnknownTensorError,
 )
-from .model import ModelConfig, ParamStatus, ParamStore, param_shapes
+from .model import ModelConfig, ParamStore, param_shapes
 from .tensor import Tensor
 
 MAGIC = b"SPFC"
@@ -162,7 +162,6 @@ def load_checkpoint_with_plan(path: str | Path):
     store = ParamStore(config)
     for name in base_shapes:
         store.params[name] = Tensor(tensors[name], requires_grad=True)
-        store.status[name] = ParamStatus.TUNABLE
     if plan is not None:
         attach_factors(store, plan, tensors)
     return store, plan

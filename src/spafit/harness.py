@@ -25,6 +25,7 @@ from .tasks import (
     DatasetRecord,
     TaskSpec,
     encode_batch,
+    generate_task,
     labels_array,
 )
 
@@ -170,7 +171,6 @@ def compare_configs(specs: list[PlanSpec], model_cfg: ModelConfig, task_spec: Ta
     excluded from the comparison) is flagged.
     """
     if train_records is None or val_records is None:
-        from .tasks import generate_task
         train_records, val_records = generate_task(task_spec)
 
     rows: list[RunResult] = []

@@ -9,7 +9,6 @@ dropout -> GELU feed-forward -> dense + residual + LayerNorm -> dropout.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -61,24 +60,6 @@ class ModelConfig:
     @property
     def head_size(self) -> int:
         return self.hidden_size // self.num_heads
-
-
-class ParamStatus(enum.Enum):
-    """Fine-tune status of one named parameter.
-
-    LORA_AUGMENTED freezes the base matrix itself; its attached low-rank
-    factors carry the trainable degrees of freedom. BIAS_TUNABLE is restricted
-    to 1-D bias vectors; TUNABLE trains the tensor directly regardless of
-    shape (task head, pooler, and everything under full fine-tuning).
-    """
-
-    FROZEN = "frozen"
-    BIAS_TUNABLE = "bias_tunable"
-    LORA_AUGMENTED = "lora_augmented"
-    TUNABLE = "tunable"
-
-
-TRAINABLE_STATUSES = (ParamStatus.TUNABLE, ParamStatus.BIAS_TUNABLE)
 
 
 LAYER_SUBPATHS: tuple[tuple[str, str], ...] = (
@@ -152,19 +133,14 @@ def is_head_path(path: str) -> bool:
 class LoraPair:
     """Low-rank factors (B, A) attached to one frozen 2-D weight.
 
-    The effective weight delta is ``(alpha / rank) * B @ A``; B starts at
-    zero so a freshly attached pair leaves the forward pass unchanged.
+    The effective weight delta is ``scaling * B @ A`` with ``scaling`` the
+    config's ``lora_alpha / lora_rank``; B starts at zero so a freshly
+    attached pair leaves the forward pass unchanged.
     """
 
     down: Tensor  # A, [rank, in_features]
     up: Tensor    # B, [out_features, rank]
-    rank: int
-    alpha: int
-    target_path: str
-
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
+    scaling: float
 
 
 def factor_names(target: str) -> tuple[str, str]:
@@ -173,12 +149,12 @@ def factor_names(target: str) -> tuple[str, str]:
 
 
 class ParamStore:
-    """Named parameters, their fine-tune statuses, and attached LoRA pairs."""
+    """Named parameters and attached LoRA pairs. A tensor trains when its
+    grad flag is set; a plan's statuses live in the plan alone."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self.status: dict[str, ParamStatus] = {}
         self.lora: dict[str, LoraPair] = {}
         # Values of base tensors before an adapter swap first overwrote them.
         self.swapped_base: dict[str, np.ndarray] = {}
@@ -200,21 +176,19 @@ class ParamStore:
     def trainable_parameters(self) -> dict[str, Tensor]:
         """Tensors the optimizer may move, and so everything an adapter owns,
         by container name in deterministic path order."""
-        out = {path: t for path, t in self.params.items()
-               if self.status[path] in TRAINABLE_STATUSES}
+        out = {path: t for path, t in self.params.items() if t.requires_grad}
         return out | self.factors()
 
     def clone(self) -> "ParamStore":
         dup = ParamStore(self.config)
         for path, t in self.params.items():
             dup.params[path] = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-        dup.status = dict(self.status)
         dup.swapped_base = {path: data.copy() for path, data in self.swapped_base.items()}
         for target, pair in self.lora.items():
             dup.lora[target] = LoraPair(
                 down=Tensor(pair.down.data.copy(), requires_grad=pair.down.requires_grad),
                 up=Tensor(pair.up.data.copy(), requires_grad=pair.up.requires_grad),
-                rank=pair.rank, alpha=pair.alpha, target_path=target)
+                scaling=pair.scaling)
         return dup
 
 
@@ -241,7 +215,6 @@ def build_model(config: ModelConfig, seed: int) -> ParamStore:
         else:
             data = truncated_normal(rng, shape, INIT_STD)
         store.params[path] = Tensor(data, requires_grad=True)
-        store.status[path] = ParamStatus.TUNABLE
     return store
 
 

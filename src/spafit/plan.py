@@ -18,6 +18,7 @@ only under full fine-tuning.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -32,15 +33,14 @@ from .checkpoint import (
 from .errors import CheckpointFormatError, CompatibilityError, PlanError
 from .model import (
     INIT_STD,
-    TRAINABLE_STATUSES,
     LoraPair,
     ModelConfig,
-    ParamStatus,
     ParamStore,
     factor_names,
     is_head_path,
     layer_number,
     param_shapes,
+    total_parameter_count,
 )
 from .tensor import Tensor
 
@@ -54,6 +54,24 @@ _LORA_SUBPATHS_II = _LORA_SUBPATHS_I + ("attention.output.dense.weight",)
 _GROUP3_BIAS_SUBPATHS = ("intermediate.dense.bias",
                          "output.dense.bias",
                          "output.LayerNorm.bias")
+
+
+class ParamStatus(enum.Enum):
+    """Fine-tune status of one named parameter.
+
+    LORA_AUGMENTED freezes the base matrix itself; its attached low-rank
+    factors carry the trainable degrees of freedom. BIAS_TUNABLE is restricted
+    to 1-D bias vectors; TUNABLE trains the tensor directly regardless of
+    shape (task head, pooler, and everything under full fine-tuning).
+    """
+
+    FROZEN = "frozen"
+    BIAS_TUNABLE = "bias_tunable"
+    LORA_AUGMENTED = "lora_augmented"
+    TUNABLE = "tunable"
+
+
+TRAINABLE_STATUSES = (ParamStatus.TUNABLE, ParamStatus.BIAS_TUNABLE)
 
 
 class PlanKind(enum.Enum):
@@ -91,6 +109,11 @@ class PlanSpec:
         if self.kind is PlanKind.SPAFIT:
             return f"spafit:N1={self.n1},N2={self.n2},mode={self.group3_mode.value}"
         return self.kind.value
+
+
+def _stratified_group(spec: PlanSpec, layer_num: int) -> int:
+    """1-based group of a 1-based encoder layer under a stratified spec."""
+    return 1 if layer_num <= spec.n1 else 2 if layer_num <= spec.n2 else 3
 
 
 _SPAFIT_RE = re.compile(
@@ -132,11 +155,7 @@ class FinetunePlan:
         """1-based group of a 1-based encoder layer (stratified kinds only)."""
         if self.spec.kind is not PlanKind.SPAFIT:
             raise PlanError(f"{self.spec} has no layer groups")
-        if layer_num <= self.spec.n1:
-            return 1
-        if layer_num <= self.spec.n2:
-            return 2
-        return 3
+        return _stratified_group(self.spec, layer_num)
 
 
 def _lora_subpaths(spec: PlanSpec) -> tuple[str, ...]:
@@ -179,9 +198,10 @@ def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
             status = ParamStatus.LORA_AUGMENTED if sub in lora_subs \
                 else ParamStatus.FROZEN
         else:  # stratified
-            if layer <= spec.n1:
+            group = _stratified_group(spec, layer)
+            if group == 1:
                 status = ParamStatus.FROZEN
-            elif layer <= spec.n2:
+            elif group == 2:
                 status = ParamStatus.BIAS_TUNABLE if sub.endswith(".bias") \
                     else ParamStatus.FROZEN
             elif sub in lora_subs:
@@ -202,7 +222,7 @@ def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
 
 
 def attach_lora(store: ParamStore, plan: FinetunePlan, seed: int) -> ParamStore:
-    """Realize ``plan`` on ``store``: set statuses and attach factor pairs.
+    """Realize ``plan`` on ``store``: set grad flags and attach factor pairs.
 
     Down factors (A) are seeded Gaussian with std 0.02; up factors (B) start
     at zero, so the forward pass is bit-identical to the base model until
@@ -221,8 +241,8 @@ def attach_lora(store: ParamStore, plan: FinetunePlan, seed: int) -> ParamStore:
 
 def attach_factors(store: ParamStore, plan: FinetunePlan,
                    factors: dict[str, np.ndarray]) -> None:
-    """Set every path's status and grad flag from ``plan`` and attach its
-    factor pairs, taking their arrays from ``factors`` by container name."""
+    """Set every path's grad flag from ``plan`` and attach its factor pairs,
+    taking their arrays from ``factors`` by container name."""
     if plan.config != store.config:
         raise PlanError("plan was compiled for a different model configuration")
     store.lora.clear()
@@ -234,15 +254,14 @@ def attach_factors(store: ParamStore, plan: FinetunePlan,
             raise PlanError(f"{path!r} is not a 1-D bias vector")
         if status is ParamStatus.LORA_AUGMENTED and tensor.data.ndim != 2:
             raise PlanError(f"low-rank target {path!r} is not a 2-D matrix")
-        store.status[path] = status
         tensor.requires_grad = status in TRAINABLE_STATUSES
-    r, alpha = store.config.lora_rank, store.config.lora_alpha
+    scaling = store.config.lora_alpha / store.config.lora_rank
     for target in plan.lora_targets:
         a_name, b_name = factor_names(target)
         store.lora[target] = LoraPair(
             down=Tensor(factors[a_name], requires_grad=True),
             up=Tensor(factors[b_name], requires_grad=True),
-            rank=r, alpha=alpha, target_path=target)
+            scaling=scaling)
 
 
 def factor_shapes(plan: FinetunePlan) -> dict[str, tuple[int, int]]:
@@ -256,8 +275,17 @@ def factor_shapes(plan: FinetunePlan) -> dict[str, tuple[int, int]]:
     return out
 
 
+def trainable_shapes(plan: FinetunePlan) -> dict[str, tuple[int, ...]]:
+    """Container name -> shape of every tensor ``plan`` trains, in the order
+    ``ParamStore.trainable_parameters`` yields them: exactly what an adapter
+    holds."""
+    shapes = param_shapes(plan.config)
+    return {path: shapes[path] for path, status in plan.assignments.items()
+            if status in TRAINABLE_STATUSES} | factor_shapes(plan)
+
+
 def lora_delta(pair: LoraPair) -> np.ndarray:
-    """Effective weight update of one pair: (alpha / rank) * B @ A."""
+    """Effective weight update of one pair: scaling * B @ A."""
     return pair.scaling * (pair.up.data @ pair.down.data)
 
 
@@ -272,7 +300,6 @@ def merge_lora(store: ParamStore) -> ParamStore:
     merged = store.clone()
     for target, pair in store.lora.items():
         merged.params[target].data = merged.params[target].data + lora_delta(pair)
-        merged.status[target] = ParamStatus.FROZEN
         merged.params[target].requires_grad = False
     merged.lora.clear()
     return merged
@@ -283,22 +310,15 @@ def merge_lora(store: ParamStore) -> ParamStore:
 
 def count_trainable(plan: FinetunePlan, config: ModelConfig,
                     include_head: bool = True) -> int:
-    """Exact trainable count by enumerating the assignment map.
+    """Exact trainable count by enumerating ``trainable_shapes(plan)``.
 
-    Low-rank targets contribute rank * (out + in) factor parameters; their
-    frozen base matrices contribute nothing.
+    Low-rank targets contribute their factors; their frozen base matrices
+    contribute nothing. ``config`` must be the one ``plan`` was compiled for.
     """
-    shapes = param_shapes(config)
-    total = 0
-    for path, status in plan.assignments.items():
-        if not include_head and is_head_path(path):
-            continue
-        if status in TRAINABLE_STATUSES:
-            total += int(np.prod(shapes[path]))
-        elif status is ParamStatus.LORA_AUGMENTED:
-            out_dim, in_dim = shapes[path]
-            total += config.lora_rank * (out_dim + in_dim)
-    return total
+    if config != plan.config:
+        raise PlanError("plan was compiled for a different model configuration")
+    return sum(math.prod(shape) for name, shape in trainable_shapes(plan).items()
+               if include_head or not is_head_path(name))
 
 
 def closed_form_count(spec: PlanSpec, config: ModelConfig,
@@ -335,8 +355,6 @@ def published_convention_count(plan: FinetunePlan, config: ModelConfig) -> int:
     pooler included); every parameter-efficient kind reports the encoder-side
     trainables only (pooler and classifier both excluded).
     """
-    from .model import total_parameter_count
-
     if plan.spec.kind is PlanKind.FULL_FT:
         return total_parameter_count(config, include_task_head=False)
     return count_trainable(plan, config, include_head=False)
@@ -402,16 +420,15 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
     if header.get("plan_spec") is None:
         raise CheckpointFormatError(f"{adapter_path}: adapter records no plan spec")
     plan = compile_plan(parse_plan_spec(header["plan_spec"]), store.config)
-    shapes = param_shapes(store.config)
-    owned = [path for path, status in plan.assignments.items()
-             if status in TRAINABLE_STATUSES]
-    check_tensors(adapter_path, tensors,
-                  {path: shapes[path] for path in owned} | factor_shapes(plan))
+    owned = trainable_shapes(plan)
+    check_tensors(adapter_path, tensors, owned)
 
     for path, data in store.swapped_base.items():
         store.params[path].data[...] = data
     attach_factors(store, plan, tensors)
     for path in owned:
+        if path not in store.params:  # a factor, attached above
+            continue
         if path not in store.swapped_base:
             store.swapped_base[path] = store.params[path].data.copy()
         store.params[path].data[...] = tensors[path]

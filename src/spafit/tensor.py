@@ -392,10 +392,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ValueError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    exps = np.exp(shifted)
+    lse = np.log(exps.sum(axis=1))
     picked = shifted[np.arange(n), labels]
     data = np.asarray((lse - picked).mean())
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs = exps / exps.sum(axis=1, keepdims=True)
 
     def backward_fn(g):
         d = probs.copy()

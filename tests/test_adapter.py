@@ -9,7 +9,7 @@ import spafit.tensor as T
 from spafit.checkpoint import read_container, save_checkpoint, write_container
 from spafit.cli import main
 from spafit.errors import CheckpointFormatError, CompatibilityError, PlanError
-from spafit.model import LoraPair, ModelConfig, ParamStatus, build_model, model_forward
+from spafit.model import LoraPair, ModelConfig, build_model, model_forward
 from spafit.optim import AdamW, TrainConfig
 from spafit.plan import (
     attach_lora,
@@ -84,11 +84,9 @@ class TestAttach:
         store = build_model(CFG, seed=1)
         plan = compile_plan(parse_plan_spec("spafit:N1=1,N2=1,mode=I"), CFG)
         attach_lora(store, plan, seed=3)
-        assert store.status["encoder.layer.0.attention.self.query.weight"] \
-            is ParamStatus.FROZEN
+        assert "encoder.layer.0.attention.self.query.weight" not in store.lora
         assert not store.params["encoder.layer.0.attention.self.query.weight"].requires_grad
-        assert store.status["encoder.layer.1.attention.self.query.weight"] \
-            is ParamStatus.LORA_AUGMENTED
+        assert "encoder.layer.1.attention.self.query.weight" in store.lora
         assert not store.params["encoder.layer.1.attention.self.query.weight"].requires_grad
         assert store.params["encoder.layer.1.intermediate.dense.bias"].requires_grad
         assert store.params["pooler.dense.weight"].requires_grad
@@ -105,25 +103,25 @@ class TestAttach:
 class TestDelta:
     def test_zero_up_factor_gives_zero_delta(self):
         pair = LoraPair(down=Tensor(np.random.default_rng(0).standard_normal((2, 4))),
-                        up=Tensor(np.zeros((4, 2))), rank=2, alpha=4, target_path="t")
+                        up=Tensor(np.zeros((4, 2))), scaling=4 / 2)
         np.testing.assert_array_equal(lora_delta(pair), np.zeros((4, 4)))
 
     def test_ones_factors_hand_value(self):
         pair = LoraPair(down=Tensor(np.ones((2, 4))), up=Tensor(np.ones((4, 2))),
-                        rank=2, alpha=2, target_path="t")
+                        scaling=2 / 2)
         np.testing.assert_array_equal(lora_delta(pair), np.full((4, 4), 2.0))
 
     def test_rank_one_outer_product(self):
         pair = LoraPair(down=Tensor(np.array([[1.0, 2.0]])),
                         up=Tensor(np.array([[1.0], [1.0]])),
-                        rank=1, alpha=1, target_path="t")
+                        scaling=1 / 1)
         np.testing.assert_array_equal(lora_delta(pair), [[1.0, 2.0], [1.0, 2.0]])
 
     def test_delta_rank_bounded_by_r(self):
         rng = np.random.default_rng(3)
         pair = LoraPair(down=Tensor(rng.standard_normal((2, 9))),
                         up=Tensor(rng.standard_normal((7, 2))),
-                        rank=2, alpha=4, target_path="t")
+                        scaling=4 / 2)
         assert np.linalg.matrix_rank(lora_delta(pair)) <= 2
 
 
@@ -268,6 +266,11 @@ def snapshot(store):
     return {name: t.data.copy() for name, t in (store.params | store.factors()).items()}
 
 
+def grad_flags(store):
+    """Each tensor's grad flag, by container name."""
+    return {name: t.requires_grad for name, t in (store.params | store.factors()).items()}
+
+
 def assert_same_tensors(got, want, context):
     assert got.keys() == want.keys(), context
     for name, data in want.items():
@@ -281,17 +284,17 @@ class TestSwapAcrossPlans:
         for text, path in swap_adapters.items():
             ref = build_model(SWAP_CFG, seed=4)
             swap_adapter(ref, path)
-            fresh[text] = (snapshot(ref), ref.status,
+            fresh[text] = (snapshot(ref), grad_flags(ref),
                            model_forward(ref, tokens, types, mode="eval").data)
 
         store = build_model(SWAP_CFG, seed=4)
         for first, second in itertools.permutations(SWAP_PLANS, 2):
             for text in (first, second):
                 swap_adapter(store, swap_adapters[text])
-                tensors, status, logits = fresh[text]
+                tensors, flags, logits = fresh[text]
                 context = f"{first} -> {second}, after {text}"
                 assert_same_tensors(snapshot(store), tensors, context)
-                assert store.status == status, context
+                assert grad_flags(store) == flags, context
                 np.testing.assert_array_equal(
                     model_forward(store, tokens, types, mode="eval").data, logits,
                     err_msg=context)
@@ -307,11 +310,11 @@ class TestSwapAcrossPlans:
 
         store = build_model(SWAP_CFG, seed=4)
         swap_adapter(store, swap_adapters["spafit:N1=1,N2=2,mode=II"])
-        before, status = snapshot(store), dict(store.status)
+        before, flags = snapshot(store), grad_flags(store)
         with pytest.raises(CheckpointFormatError, match=name):
             swap_adapter(store, bad)
         assert_same_tensors(snapshot(store), before, "after a rejected swap")
-        assert store.status == status
+        assert grad_flags(store) == flags
 
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(build_model(SWAP_CFG, seed=4), ckpt)

@@ -63,7 +63,8 @@ def test_round_trip_with_attached_plan(store, tmp_path):
     for target, pair in store.lora.items():
         np.testing.assert_array_equal(loaded.lora[target].down.data, pair.down.data)
         np.testing.assert_array_equal(loaded.lora[target].up.data, pair.up.data)
-    assert loaded.status == store.status
+    assert {n: t.requires_grad for n, t in (loaded.params | loaded.factors()).items()} \
+        == {n: t.requires_grad for n, t in (store.params | store.factors()).items()}
 
 
 def test_corrupt_magic_rejected(store, tmp_path):

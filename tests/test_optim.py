@@ -5,9 +5,9 @@ import pytest
 
 import spafit.tensor as T
 from spafit.errors import OptimizerError
-from spafit.model import ModelConfig, ParamStatus, build_model, model_forward
+from spafit.model import ModelConfig, build_model, model_forward
 from spafit.optim import AdamW, TrainConfig
-from spafit.plan import attach_lora, compile_plan, parse_plan_spec
+from spafit.plan import ParamStatus, attach_lora, compile_plan, parse_plan_spec
 from spafit.tensor import Tensor
 
 CFG = ModelConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
@@ -82,7 +82,7 @@ class TestFreezeInvariance:
         rng = np.random.default_rng(0)
         for _ in range(25):
             one_training_step(store, opt, rng)
-        for path, status in store.status.items():
+        for path, status in plan.assignments.items():
             if status in (ParamStatus.FROZEN, ParamStatus.LORA_AUGMENTED):
                 np.testing.assert_array_equal(store.params[path].data,
                                               snapshot[path], err_msg=path)
@@ -114,7 +114,7 @@ class TestSelectivity:
             one_training_step(store, opt, rng)
         moved = {p for p, t in store.params.items()
                  if not np.array_equal(t.data, snapshot[p])}
-        allowed = {p for p, s in store.status.items()
+        allowed = {p for p, s in plan.assignments.items()
                    if s in (ParamStatus.TUNABLE, ParamStatus.BIAS_TUNABLE)}
         assert moved <= allowed
         assert moved  # something must actually have trained

@@ -1,19 +1,26 @@
 """Plan compilation: group assignment rules, totality, exact counts."""
 
+import math
+
 import numpy as np
 import pytest
 
+from spafit.checkpoint import read_container
 from spafit.errors import PlanError
-from spafit.model import ModelConfig, ParamStatus, param_shapes
+from spafit.model import ModelConfig, build_model, param_shapes
 from spafit.plan import (
     Group3Mode,
+    ParamStatus,
     PlanKind,
     PlanSpec,
+    attach_lora,
     closed_form_count,
     compile_plan,
     count_trainable,
+    export_adapter,
     parse_plan_spec,
     published_convention_count,
+    trainable_shapes,
 )
 
 BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
@@ -22,6 +29,9 @@ BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
 
 TOY = ModelConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
                   vocab_size=30, max_positions=16, lora_rank=2, lora_alpha=4)
+
+STANDARD_PLANS = ("fullft", "fullbitfit", "fulllora-I", "fulllora-II",
+                  "spafit:N1=1,N2=3,mode=II")
 
 
 def statuses_for_layer(plan, layer_idx: int) -> dict[str, ParamStatus]:
@@ -135,13 +145,25 @@ class TestStratification:
 
 
 class TestTotality:
-    @pytest.mark.parametrize("text", [
-        "fullft", "fullbitfit", "fulllora-I", "fulllora-II",
-        "spafit:N1=1,N2=3,mode=II",
-    ])
+    @pytest.mark.parametrize("text", STANDARD_PLANS)
     def test_every_path_assigned_exactly_once(self, text):
         plan = compile_plan(parse_plan_spec(text), TOY)
         assert set(plan.assignments) == set(param_shapes(TOY))
+
+    @pytest.mark.parametrize("text", STANDARD_PLANS)
+    def test_store_trains_exactly_what_plan_states(self, text, tmp_path):
+        spec = parse_plan_spec(text)
+        plan = compile_plan(spec, TOY)
+        store = attach_lora(build_model(TOY, seed=0), plan, seed=1)
+        shapes = list(trainable_shapes(plan).items())
+        assert [(n, t.data.shape) for n, t in store.trainable_parameters().items()] \
+            == shapes
+        assert sum(math.prod(shape) for _, shape in shapes) \
+            == closed_form_count(spec, TOY, True)
+        adapter = tmp_path / "task.adapter"
+        export_adapter(store, plan, adapter)
+        header, _ = read_container(adapter)
+        assert [(e["name"], tuple(e["shape"])) for e in header["tensors"]] == shapes
 
     def test_status_shape_discipline(self):
         shapes = param_shapes(TOY)
@@ -226,6 +248,11 @@ class TestCounts:
         for text, expected in cases.items():
             plan = compile_plan(parse_plan_spec(text), BERT_LARGE)
             assert published_convention_count(plan, BERT_LARGE) == expected
+
+    def test_count_for_another_config_rejected(self):
+        plan = compile_plan(parse_plan_spec("fulllora-I"), TOY)
+        with pytest.raises(PlanError, match="different model configuration"):
+            count_trainable(plan, BERT_LARGE)
 
     def test_head_inclusion_adds_pooler_and_classifier(self):
         plan = compile_plan(parse_plan_spec("fulllora-I"), TOY)
