@@ -20,6 +20,7 @@ from .errors import (
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    PlanError,
     UnknownTensorError,
 )
 from .model import ModelConfig, ParamStore, param_shapes
@@ -128,7 +129,10 @@ def check_tensors(path: str | Path, tensors: dict[str, np.ndarray],
 
 
 def save_checkpoint(store, path: str | Path, plan_spec: str | None = None) -> None:
-    """Write every base tensor plus any attached LoRA factors."""
+    """Write every base tensor plus any attached LoRA factors. A store with
+    factors needs its ``plan_spec``: the loader attaches them from it."""
+    if store.lora and plan_spec is None:
+        raise PlanError("a store with low-rank pairs attached needs its plan spec to be saved")
     tensors = {name: t.data for name, t in (store.params | store.factors()).items()}
     write_container(path, "checkpoint", store.config, tensors, plan_spec)
 

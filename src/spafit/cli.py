@@ -16,15 +16,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint_with_plan, save_checkpoint
-from .errors import (
-    CheckpointError,
-    CompatibilityError,
-    ManifestError,
-    PlanError,
-    SpafitError,
-    TaskSpecError,
-    TrainingDivergedError,
-)
+from .errors import CheckpointError, CompatibilityError, TrainingDivergedError
 from .harness import compare_configs, evaluate, train_run
 from .manifest import RunManifest, load_manifest
 from .model import build_model, total_parameter_count
@@ -98,7 +90,7 @@ def cmd_audit(args) -> int:
     for text in spec_texts:
         spec = parse_plan_spec(text)
         plan = compile_plan(spec, cfg)
-        exact = published_convention_count(plan, cfg)
+        exact = published_convention_count(plan)
         millions = exact / 1e6
         published = published_reference_m(spec, cfg)
         if published is None:
@@ -112,23 +104,17 @@ def cmd_audit(args) -> int:
                     "convention is not fully reconcilable")
             shown = f"{published:.2f}"
         print(f"{str(spec):34s} {exact:>14,d} {millions:>9.2f} {shown:>10s}  {note}")
-    print(f"{'total model (task head excluded)':34s} "
-          f"{total_parameter_count(cfg, include_task_head=False):>14,d} "
-          f"{total_parameter_count(cfg, include_task_head=False) / 1e6:>9.2f}")
+    total = total_parameter_count(cfg)
+    print(f"{'total model (task head excluded)':34s} {total:>14,d} {total / 1e6:>9.2f}")
     return 0
-
-
-def _train_artifacts(m: RunManifest):
-    store = build_model(m.model_config, m.model_seed)
-    plan = compile_plan(m.plan_spec, m.model_config)
-    attach_lora(store, plan, seed=m.model_seed)
-    train_records, val_records = generate_task(m.task_spec)
-    return store, plan, train_records, val_records
 
 
 def cmd_train(args) -> int:
     m = _load(args)
-    store, plan, train_records, val_records = _train_artifacts(m)
+    store = build_model(m.model_config, m.model_seed)
+    plan = compile_plan(m.plan_spec, m.model_config)
+    attach_lora(store, plan, seed=m.model_seed)
+    train_records, val_records = generate_task(m.task_spec)
     result = train_run(store, plan, m.task_spec, train_records, val_records,
                        m.train_config, m.metric)
     m.out_dir.mkdir(parents=True, exist_ok=True)
@@ -266,12 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (PlanError, ManifestError, TaskSpecError, ValueError) as exc:
+    except ValueError as exc:  # every other SpafitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SpafitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

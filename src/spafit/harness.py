@@ -54,12 +54,14 @@ class RunResult:
         return asdict(self)
 
 
-def predict(store: ParamStore, spec: TaskSpec, records: list[DatasetRecord],
-            batch_size: int = 64) -> np.ndarray:
+_PREDICT_BATCH_SIZE = 64
+
+
+def predict(store: ParamStore, spec: TaskSpec, records: list[DatasetRecord]) -> np.ndarray:
     """Eval-mode predictions: class ids, or raw scores for regression."""
     outputs = []
-    for start in range(0, len(records), batch_size):
-        chunk = records[start:start + batch_size]
+    for start in range(0, len(records), _PREDICT_BATCH_SIZE):
+        chunk = records[start:start + _PREDICT_BATCH_SIZE]
         tokens, types = encode_batch(spec, chunk)
         logits = model_forward(store, tokens, types, mode="eval")
         if spec.kind == PAIR_REGRESSION:

@@ -71,8 +71,6 @@ def _parse_sections(path: str | Path) -> dict[str, dict[str, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ManifestError(f"{path}: {exc}") from exc
 

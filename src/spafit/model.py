@@ -18,7 +18,6 @@ from . import tensor as T
 from .errors import InputError, ShapeError
 from .tensor import Tensor
 
-LAYER_NORM_EPS = 1e-12
 INIT_STD = 0.02
 
 
@@ -82,11 +81,8 @@ LAYER_SUBPATHS: tuple[tuple[str, str], ...] = (
     ("output.LayerNorm.bias", "d"),
 )
 
-HEAD_PATHS = ("pooler.dense.weight", "pooler.dense.bias",
-              "classifier.weight", "classifier.bias")
 
-
-def param_shapes(config: ModelConfig, include_head: bool = True) -> dict[str, tuple[int, ...]]:
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Ordered map of every canonical parameter path to its shape."""
     d, f = config.hidden_size, config.ffn_size
     kinds = {"dxd": (d, d), "fxd": (f, d), "dxf": (d, f), "d": (d,), "f": (f,)}
@@ -100,22 +96,19 @@ def param_shapes(config: ModelConfig, include_head: bool = True) -> dict[str, tu
     for i in range(config.num_layers):
         for sub, kind in LAYER_SUBPATHS:
             shapes[f"encoder.layer.{i}.{sub}"] = kinds[kind]
-    if include_head:
-        shapes["pooler.dense.weight"] = (d, d)
-        shapes["pooler.dense.bias"] = (d,)
-        shapes["classifier.weight"] = (config.num_labels, d)
-        shapes["classifier.bias"] = (config.num_labels,)
+    shapes["pooler.dense.weight"] = (d, d)
+    shapes["pooler.dense.bias"] = (d,)
+    shapes["classifier.weight"] = (config.num_labels, d)
+    shapes["classifier.bias"] = (config.num_labels,)
     return shapes
 
 
-def total_parameter_count(config: ModelConfig, include_task_head: bool = True) -> int:
-    """Model size from shapes alone, without materializing any tensors.
-
-    The task head is the classifier alone; the pooler always counts as part
-    of the base model.
-    """
+def total_parameter_count(config: ModelConfig) -> int:
+    """Base-model size from shapes alone, without materializing any tensors:
+    every parameter except the task head, which is the classifier alone (the
+    pooler counts as part of the base model)."""
     return sum(int(np.prod(shape)) for path, shape in param_shapes(config).items()
-               if include_task_head or not path.startswith("classifier."))
+               if not path.startswith("classifier."))
 
 
 def layer_number(path: str) -> int | None:
@@ -158,9 +151,6 @@ class ParamStore:
         self.lora: dict[str, LoraPair] = {}
         # Values of base tensors before an adapter swap first overwrote them.
         self.swapped_base: dict[str, np.ndarray] = {}
-
-    def __contains__(self, path: str) -> bool:
-        return path in self.params
 
     def paths(self) -> list[str]:
         return list(self.params)
@@ -266,16 +256,14 @@ def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = 
     attn = _linear(store, f"{base}.attention.output.dense", attn)
     x = T.layer_norm(attn + x,
                      store.params[f"{base}.attention.output.LayerNorm.weight"],
-                     store.params[f"{base}.attention.output.LayerNorm.bias"],
-                     LAYER_NORM_EPS)
+                     store.params[f"{base}.attention.output.LayerNorm.bias"])
     x = T.dropout(x, p, mode, rng)
 
     hidden = T.gelu(_linear(store, f"{base}.intermediate.dense", x))
     out = _linear(store, f"{base}.output.dense", hidden)
     x = T.layer_norm(out + x,
                      store.params[f"{base}.output.LayerNorm.weight"],
-                     store.params[f"{base}.output.LayerNorm.bias"],
-                     LAYER_NORM_EPS)
+                     store.params[f"{base}.output.LayerNorm.bias"])
     return T.dropout(x, p, mode, rng)
 
 
@@ -309,8 +297,7 @@ def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray
     types = T.embedding(store.params["embeddings.token_type_embeddings.weight"], type_ids)
     x = T.layer_norm(words + positions + types,
                      store.params["embeddings.LayerNorm.weight"],
-                     store.params["embeddings.LayerNorm.bias"],
-                     LAYER_NORM_EPS)
+                     store.params["embeddings.LayerNorm.bias"])
     x = T.dropout(x, cfg.dropout_p, mode, rng)
 
     for layer in range(cfg.num_layers):

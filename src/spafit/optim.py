@@ -8,7 +8,8 @@ included, and the learning rate is constant (no warmup or schedule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +17,9 @@ from .errors import OptimizerError
 from .tensor import Tensor
 
 # Best-performing learning rates: PEFT plans prefer the larger one, full
-# fine-tuning the smaller; the surrounding grid is what the CLI exposes.
+# fine-tuning the smaller.
 DEFAULT_LR_PEFT = 6e-5
 DEFAULT_LR_FULL_FT = 2e-5
-LEARNING_RATE_GRID = (2e-3, 6e-3, 2e-5, 6e-5)
 
 
 @dataclass(frozen=True)
@@ -33,25 +33,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
             raise ValueError(f"betas must lie in [0, 1), got {self.betas}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-
-
-@dataclass
-class AdamWState:
-    """First/second moment arrays per registered parameter, plus step count."""
-
-    first: dict[str, np.ndarray] = field(default_factory=dict)
-    second: dict[str, np.ndarray] = field(default_factory=dict)
-    step_count: int = 0
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 class AdamW:
@@ -60,10 +53,10 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = dict(params)
         self.cfg = cfg
-        self.state = AdamWState(
-            first={name: np.zeros_like(t.data) for name, t in self.params.items()},
-            second={name: np.zeros_like(t.data) for name, t in self.params.items()},
-        )
+        # First and second moments per registered parameter, and the step count.
+        self.first = {name: np.zeros_like(t.data) for name, t in self.params.items()}
+        self.second = {name: np.zeros_like(t.data) for name, t in self.params.items()}
+        self.step_count = 0
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -73,16 +66,16 @@ class AdamW:
         """One update from the gradients currently held by the parameters."""
         cfg = self.cfg
         b1, b2 = cfg.betas
-        self.state.step_count += 1
-        t = self.state.step_count
+        self.step_count += 1
+        t = self.step_count
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
         for name, param in self.params.items():
             if param.grad is None:
                 raise OptimizerError(f"missing gradient on trainable parameter {name!r}")
             g = param.grad
-            m = self.state.first[name]
-            v = self.state.second[name]
+            m = self.first[name]
+            v = self.second[name]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2

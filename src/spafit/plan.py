@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,7 +149,12 @@ class FinetunePlan:
     spec: PlanSpec
     config: ModelConfig
     assignments: dict[str, ParamStatus]
-    lora_targets: list[str] = field(default_factory=list)
+
+    @property
+    def lora_targets(self) -> list[str]:
+        """Low-rank target paths, in assignment order."""
+        return [path for path, status in self.assignments.items()
+                if status is ParamStatus.LORA_AUGMENTED]
 
     def group_of_layer(self, layer_num: int) -> int:
         """1-based group of a 1-based encoder layer (stratified kinds only)."""
@@ -176,7 +181,6 @@ def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
 
     lora_subs = _lora_subpaths(spec)
     assignments: dict[str, ParamStatus] = {}
-    lora_targets: list[str] = []
 
     for path in param_shapes(config):
         if is_head_path(path):
@@ -212,10 +216,8 @@ def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
                 status = ParamStatus.FROZEN
 
         assignments[path] = status
-        if status is ParamStatus.LORA_AUGMENTED:
-            lora_targets.append(path)
 
-    return FinetunePlan(spec, config, assignments, lora_targets)
+    return FinetunePlan(spec, config, assignments)
 
 
 # -- attachment and merging ----------------------------------------------------
@@ -348,7 +350,7 @@ def closed_form_count(spec: PlanSpec, config: ModelConfig,
     return group2 + group3 + head
 
 
-def published_convention_count(plan: FinetunePlan, config: ModelConfig) -> int:
+def published_convention_count(plan: FinetunePlan) -> int:
     """Trainable count under the convention the reference table evidently used.
 
     Full fine-tuning reports the whole base model minus the classifier (the
@@ -356,8 +358,8 @@ def published_convention_count(plan: FinetunePlan, config: ModelConfig) -> int:
     trainables only (pooler and classifier both excluded).
     """
     if plan.spec.kind is PlanKind.FULL_FT:
-        return total_parameter_count(config, include_task_head=False)
-    return count_trainable(plan, config, include_head=False)
+        return total_parameter_count(plan.config)
+    return count_trainable(plan, plan.config, include_head=False)
 
 
 # Params (M) reported for BERT-large-cased in the reference comparison. Our

@@ -24,6 +24,7 @@ Everything is deterministic in the task seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,8 +60,8 @@ class TaskSpec:
             raise TaskSpecError(f"unknown task kind {self.kind!r}")
         if self.train_size < 1 or self.val_size < 1:
             raise TaskSpecError("train/val sizes must be >= 1")
-        if self.noise_std < 0:
-            raise TaskSpecError("noise_std must be >= 0")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise TaskSpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.kind == SINGLE_CLASSIFICATION:
             if self.num_labels < 2:
                 raise TaskSpecError("classification needs >= 2 labels")

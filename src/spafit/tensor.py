@@ -19,6 +19,7 @@ from .errors import GraphError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LAYER_NORM_EPS = 1e-12
 
 
 class Tensor:
@@ -62,9 +63,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         backward(self)
 
@@ -73,34 +71,10 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, neg(other))
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def mean(self) -> "Tensor":
-        return mean(self)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -134,13 +108,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _result(data, (a, b), backward_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        a._accumulate(-g)
-
-    return _result(-a.data, (a,), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -253,15 +220,6 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum()), (a,), backward_fn)
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward_fn(g):
-        a._accumulate(np.full_like(a.data, float(g) / n))
-
-    return _result(np.asarray(a.data.mean()), (a,), backward_fn)
-
-
 # -- neural-net operations ---------------------------------------------------
 
 
@@ -280,10 +238,11 @@ def softmax(x: Tensor) -> Tensor:
     return _result(s, (x,), backward_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Variance is the biased (population) estimate over the last axis.
+    Variance is the biased (population) estimate over the last axis, and
+    ``LAYER_NORM_EPS`` is added to it before the square root.
     """
     d = x.data.shape[-1]
     if d == 0:
@@ -293,7 +252,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match feature dim {d}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv_std
     data = gamma.data * xhat + beta.data
 

@@ -21,8 +21,11 @@ from spafit.errors import (
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    PlanError,
+    SpafitError,
     UnknownTensorError,
 )
+from spafit.manifest import load_manifest
 from spafit.model import ModelConfig, build_model
 from spafit.plan import (
     attach_lora,
@@ -65,6 +68,16 @@ def test_round_trip_with_attached_plan(store, tmp_path):
         np.testing.assert_array_equal(loaded.lora[target].up.data, pair.up.data)
     assert {n: t.requires_grad for n, t in (loaded.params | loaded.factors()).items()} \
         == {n: t.requires_grad for n, t in (store.params | store.factors()).items()}
+
+
+def test_saving_pairs_without_plan_spec_rejected(store, tmp_path):
+    """The loader attaches factors from the plan spec, so a file holding
+    factors without one could not be read back; nothing is written."""
+    attach_lora(store, compile_plan(parse_plan_spec("fulllora-I"), CFG), seed=9)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(PlanError, match="plan spec"):
+        save_checkpoint(store, path)
+    assert not path.exists()
 
 
 def test_corrupt_magic_rejected(store, tmp_path):
@@ -210,3 +223,53 @@ def test_header_mutation_rejected(store, tmp_path, cli_manifest, kind, mutation)
             swap_adapter(store, adapter)
         argv = ["swap-adapter", "--model", str(ckpt), "--adapter", str(adapter)]
     assert main(argv + ["--manifest", str(cli_manifest)]) == 5
+
+
+def _corruptions(raw: bytes, header_end: int, seed: int, count: int):
+    """Seeded byte flips, truncations and insertions of ``raw``; half of them
+    land in the magic, version, length and header bytes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        data = bytearray(raw)
+        pos = int(rng.integers(header_end if rng.random() < 0.5 else len(raw)))
+        kind = rng.integers(3)
+        if kind == 0:
+            data[pos] ^= int(rng.integers(1, 256))
+        elif kind == 1:
+            del data[pos:]
+        else:
+            data[pos:pos] = rng.bytes(int(rng.integers(1, 9)))
+        yield bytes(data)
+
+
+def test_seeded_container_fuzz_raises_only_spafit_errors(tmp_path, cli_manifest):
+    """Every corrupted checkpoint or adapter either loads or raises a
+    ``SpafitError``; through the CLI it ends in a documented exit code."""
+    cfg = load_manifest(cli_manifest).model_config
+    store = build_model(cfg, seed=5)
+    plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), cfg)
+    attach_lora(store, plan, seed=9)
+    ckpt, adapter = tmp_path / "model.ckpt", tmp_path / "task.adapter"
+    save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
+    export_adapter(store, plan, adapter)
+    bad = tmp_path / "bad.bin"
+
+    outcomes = {"loaded": 0, "rejected": 0}
+    for seed, (source, load) in enumerate([
+            (ckpt, load_checkpoint_with_plan),
+            (adapter, lambda path: swap_adapter(store.clone(), path))]):
+        raw = source.read_bytes()
+        header_end = 9 + struct.unpack("<I", raw[5:9])[0]
+        for corrupted in _corruptions(raw, header_end, seed, count=150):
+            bad.write_bytes(corrupted)
+            try:
+                load(bad)
+                outcomes["loaded"] += 1
+            except SpafitError:
+                outcomes["rejected"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+    raw = ckpt.read_bytes()
+    for corrupted in (raw[:-8], raw[:4] + b"\x00" + raw[5:], raw[:20] + b"{" + raw[20:]):
+        bad.write_bytes(corrupted)
+        assert main(["eval", "--manifest", str(cli_manifest), "--model", str(bad)]) == 5

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import spafit.cli as cli
+from spafit import errors
 from spafit.cli import main
 from spafit.errors import ManifestError
 from spafit.manifest import load_manifest
@@ -199,6 +201,53 @@ class TestDivergence:
                      "--spec", "fullft", "--lr", "1e9"])
         assert code == 4
         assert "non-finite loss" in capsys.readouterr().err
+
+
+class TestNonFiniteValues:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section, line", [
+        ("train", "learning_rate = nan"), ("train", "learning_rate = inf"),
+        ("train", "weight_decay = nan"), ("train", "eps = 0"),
+        ("task", "noise_std = nan"),
+    ])
+    def test_train_exits_2_before_training(self, tmp_path, capsys, section, line):
+        text = MANIFEST.format(out_dir=tmp_path / "out").replace("learning_rate = 2e-3\n", "")
+        path = tmp_path / "bad.manifest"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        assert main(["train", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def _spafit_error_types():
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.SpafitError)
+            and cls is not errors.SpafitError]
+
+
+def _documented_exit_code(cls) -> int:
+    if issubclass(cls, errors.CompatibilityError):
+        return 3
+    if issubclass(cls, errors.TrainingDivergedError):
+        return 4
+    if issubclass(cls, errors.CheckpointError):
+        return 5
+    return 2
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize("cls", _spafit_error_types(), ids=lambda cls: cls.__name__)
+    def test_every_error_type_maps_to_its_documented_code(self, manifest_path,
+                                                           monkeypatch, capsys, cls):
+        exc = cls(1, float("nan")) if cls is errors.TrainingDivergedError else cls("boom")
+
+        def raise_it(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_load", raise_it)
+        assert main(["plan", "--manifest", str(manifest_path)]) == _documented_exit_code(cls)
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCompareCommand:

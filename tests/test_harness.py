@@ -188,7 +188,7 @@ class TestParamOrdering:
                               ffn_size=4096, vocab_size=28996, max_positions=512,
                               type_vocab_size=2, lora_rank=64, lora_alpha=128)
         ours = {t: published_convention_count(
-            sp.compile_plan(sp.parse_plan_spec(t), bert), bert)
+            sp.compile_plan(sp.parse_plan_spec(t), bert))
             for t in ("fullft", "fullbitfit", "fulllora-I", "fulllora-II")}
         assert ours["fullft"] > ours["fulllora-II"] > ours["fulllora-I"] \
             > ours["fullbitfit"]

@@ -6,7 +6,6 @@ import pytest
 import spafit.tensor as T
 from spafit.errors import InputError, ShapeError
 from spafit.model import (
-    LAYER_NORM_EPS,
     ModelConfig,
     _linear,
     build_model,
@@ -16,7 +15,7 @@ from spafit.model import (
     total_parameter_count,
 )
 from spafit.plan import attach_lora, compile_plan, parse_plan_spec
-from spafit.tensor import Tensor
+from spafit.tensor import LAYER_NORM_EPS, Tensor
 
 BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
                          ffn_size=4096, vocab_size=28996, max_positions=512,
@@ -38,7 +37,7 @@ def closed_form_embedding_count(cfg: ModelConfig) -> int:
 
 class TestParameterCensus:
     def test_reference_dims_total_excluding_task_head(self):
-        assert total_parameter_count(BERT_LARGE, include_task_head=False) == 333_579_264
+        assert total_parameter_count(BERT_LARGE) == 333_579_264
 
     def test_reference_dims_breakdown(self):
         d = 1024
@@ -64,7 +63,7 @@ class TestParameterCensus:
         total = closed_form_embedding_count(TOY) \
             + TOY.num_layers * closed_form_layer_count(8, 16) \
             + (8 * 8 + 8)
-        assert total_parameter_count(TOY, include_task_head=False) == total
+        assert total_parameter_count(TOY) == total
 
     def test_expected_layer_paths_present(self):
         shapes = param_shapes(TOY)

@@ -138,3 +138,18 @@ class TestDeterminism:
             np.testing.assert_array_equal(a.params[path].data, b.params[path].data)
         for target in a.lora:
             np.testing.assert_array_equal(a.lora[target].up.data, b.lora[target].up.data)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", 0.0), ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")), ("weight_decay", -0.1),
+        ("eps", float("nan")), ("eps", 0.0), ("eps", -1.0), ("eps", float("inf")),
+    ])
+    def test_non_finite_or_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_large_finite_learning_rate_accepted(self):
+        assert TrainConfig(learning_rate=1e9).learning_rate == 1e9

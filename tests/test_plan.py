@@ -247,7 +247,7 @@ class TestCounts:
         }
         for text, expected in cases.items():
             plan = compile_plan(parse_plan_spec(text), BERT_LARGE)
-            assert published_convention_count(plan, BERT_LARGE) == expected
+            assert published_convention_count(plan) == expected
 
     def test_count_for_another_config_rejected(self):
         plan = compile_plan(parse_plan_spec("fulllora-I"), TOY)

@@ -94,6 +94,12 @@ class TestSpecValidation:
             TaskSpec(kind="pair_classification", vocab_size=60, seq_len=19,
                      train_size=10, val_size=5, seed=0, num_labels=3)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_noise_rejected(self, noise_std):
+        with pytest.raises(TaskSpecError, match="noise_std"):
+            TaskSpec(kind="pair_regression", vocab_size=60, seq_len=19,
+                     train_size=10, val_size=5, seed=0, noise_std=noise_std)
+
 
 class TestEncoding:
     def test_pair_layout_and_type_ids(self):
