@@ -129,11 +129,18 @@ def check_tensors(path: str | Path, tensors: dict[str, np.ndarray],
 
 
 def save_checkpoint(store, path: str | Path, plan_spec: str | None = None) -> None:
-    """Write every base tensor plus any attached LoRA factors. A store with
-    factors needs its ``plan_spec``: the loader attaches them from it."""
-    if store.lora and plan_spec is None:
-        raise PlanError("a store with low-rank pairs attached needs its plan spec to be saved")
-    tensors = {name: t.data for name, t in (store.params | store.factors()).items()}
+    """Write every base tensor plus any attached LoRA factors. The loader
+    attaches factors from ``plan_spec``, so the spec's factors must be
+    exactly the store's."""
+    from .plan import compile_plan, factor_shapes, parse_plan_spec
+
+    expected = (factor_shapes(compile_plan(parse_plan_spec(plan_spec), store.config))
+                if plan_spec else {})
+    factors = store.factors()
+    if {name: t.data.shape for name, t in factors.items()} != expected:
+        raise PlanError(f"plan spec {plan_spec!r} does not match the low-rank "
+                        "pairs attached to the store")
+    tensors = {name: t.data for name, t in (store.params | factors).items()}
     write_container(path, "checkpoint", store.config, tensors, plan_spec)
 
 
@@ -149,7 +156,7 @@ def load_checkpoint_with_plan(path: str | Path):
     config, plus factor tensors for the recorded plan's targets. Anything
     extra, missing or misshapen is rejected by name.
     """
-    from .plan import attach_factors, compile_plan, factor_shapes, parse_plan_spec
+    from .plan import attach_factors, factor_shapes, recorded_plan
 
     header, tensors = read_container(path)
     if header.get("kind") != "checkpoint":
@@ -159,7 +166,7 @@ def load_checkpoint_with_plan(path: str | Path):
     base_shapes = param_shapes(config)
     plan = None
     if header.get("plan_spec"):
-        plan = compile_plan(parse_plan_spec(header["plan_spec"]), config)
+        plan = recorded_plan(path, header["plan_spec"], config)
     check_tensors(path, tensors,
                   base_shapes | (factor_shapes(plan) if plan is not None else {}))
 

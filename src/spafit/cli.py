@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: plan, audit, train, eval, compare, export-adapter, swap-adapter.
-Every command is driven by a manifest file; a handful of flags (--spec,
---seed, --lr, --batch, --epochs, --out) override manifest values. Data goes
-to stdout, diagnostics to stderr. Exit codes: 0 success, 2 bad usage or
-malformed spec/manifest, 3 incompatible adapter, 4 training divergence,
-5 I/O or container failure.
+Every command is driven by a manifest file and takes only the override
+flags it reads; each flag's destination is its ``load_manifest`` override
+key. Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
+2 bad usage or malformed spec/manifest, 3 incompatible adapter, 4 training
+divergence, 5 I/O or container failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import CheckpointError, CompatibilityError, TrainingDivergedError
 from .harness import compare_configs, evaluate, train_run
 from .manifest import RunManifest, load_manifest
 from .model import build_model, total_parameter_count
+from .optim import DEFAULT_LR_FULL_FT, DEFAULT_LR_PEFT, TrainConfig
 from .plan import (
     PlanKind,
     attach_lora,
@@ -44,21 +45,14 @@ _PUBLISHED_TOLERANCE_M = 0.02
 
 
 def _load(args) -> RunManifest:
-    overrides = {
-        "spec": getattr(args, "spec", None),
-        "seed": getattr(args, "seed", None),
-        "learning_rate": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch", None),
-        "epochs": getattr(args, "epochs", None),
-        "out_dir": getattr(args, "out", None),
-    }
-    if isinstance(overrides["spec"], list):  # commands taking many specs
-        overrides["spec"] = None
-    return load_manifest(args.manifest, overrides)
+    return load_manifest(args.manifest, vars(args))
 
 
-def cmd_plan(args) -> int:
-    m = _load(args)
+def _checkpoint_path(args, m: RunManifest) -> Path:
+    return Path(args.model) if args.model else m.out_dir / "model.ckpt"
+
+
+def cmd_plan(args, m: RunManifest) -> int:
     plan = compile_plan(m.plan_spec, m.model_config)
     cfg = m.model_config
     print(f"plan: {plan.spec}")
@@ -81,10 +75,9 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_audit(args) -> int:
-    m = _load(args)
+def cmd_audit(args, m: RunManifest) -> int:
     cfg = m.model_config
-    spec_texts = args.spec or ["fullft", "fullbitfit", "fulllora-I",
+    spec_texts = args.specs or ["fullft", "fullbitfit", "fulllora-I",
                                "fulllora-II", str(m.plan_spec)]
     print(f"{'plan':34s} {'exact':>14s} {'millions':>9s} {'published':>10s}  note")
     for text in spec_texts:
@@ -109,8 +102,7 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    m = _load(args)
+def cmd_train(args, m: RunManifest) -> int:
     store = build_model(m.model_config, m.model_seed)
     plan = compile_plan(m.plan_spec, m.model_config)
     attach_lora(store, plan, seed=m.model_seed)
@@ -126,19 +118,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    m = _load(args)
-    ckpt = Path(args.model) if args.model else m.out_dir / "model.ckpt"
-    store, _ = load_checkpoint_with_plan(ckpt)
+def cmd_eval(args, m: RunManifest) -> int:
+    store, _ = load_checkpoint_with_plan(_checkpoint_path(args, m))
     _, val_records = generate_task(m.task_spec)
     name, value = evaluate(store, m.task_spec, val_records, m.metric)
     print(json.dumps({"metric_name": name, "metric_value": value}))
     return 0
 
 
-def cmd_compare(args) -> int:
-    m = _load(args)
-    specs = [parse_plan_spec(text) for text in args.spec]
+def cmd_compare(args, m: RunManifest) -> int:
+    specs = [parse_plan_spec(text) for text in args.specs]
     table = compare_configs(specs, m.model_config, m.task_spec, m.train_config,
                             m.model_seed, metric=m.metric)
     csv_text = table.to_csv()
@@ -149,10 +138,8 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_export_adapter(args) -> int:
-    m = _load(args)
-    ckpt = Path(args.model) if args.model else m.out_dir / "model.ckpt"
-    store, plan = load_checkpoint_with_plan(ckpt)
+def cmd_export_adapter(args, m: RunManifest) -> int:
+    store, plan = load_checkpoint_with_plan(_checkpoint_path(args, m))
     if plan is None:
         plan = compile_plan(m.plan_spec, store.config)
         attach_lora(store, plan, seed=m.model_seed)
@@ -162,9 +149,8 @@ def cmd_export_adapter(args) -> int:
     return 0
 
 
-def cmd_swap_adapter(args) -> int:
-    m = _load(args)
-    ckpt = Path(args.model) if args.model else m.out_dir / "model.ckpt"
+def cmd_swap_adapter(args, m: RunManifest) -> int:
+    ckpt = _checkpoint_path(args, m)
     store, _ = load_checkpoint_with_plan(ckpt)
     plan = swap_adapter(store, args.adapter)
     out = Path(args.out_model) if args.out_model else ckpt
@@ -173,76 +159,70 @@ def cmd_swap_adapter(args) -> int:
     return 0
 
 
+# Flags shared between commands. An override flag's destination is its
+# ``load_manifest`` override key, so the parsed namespace is the override map.
+_FLAGS = {
+    "--spec": dict(help="override the manifest plan spec"),
+    "--seed": dict(type=int, help="override the train seed"),
+    "--lr": dict(dest="learning_rate", metavar="LR", type=float,
+                 help="override the learning rate"),
+    "--batch": dict(dest="batch_size", metavar="BATCH", type=int,
+                    help="override the batch size"),
+    "--epochs": dict(type=int, help="override the epoch count"),
+    "--out": dict(dest="out_dir", metavar="OUT", help="override the output directory"),
+    "--model": dict(help="checkpoint path (default <out>/model.ckpt)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    defaults = TrainConfig()
     parser = argparse.ArgumentParser(
         prog="spafit",
         description="Stratified parameter-efficient fine-tuning toolkit.",
         epilog=(
             "Plan specs: fullft | fullbitfit | fulllora-I | fulllora-II | "
             "spafit:N1=<i>,N2=<j>,mode=<I|II>. Learning rate defaults to "
-            f"6e-05 for PEFT plans and 2e-05 for full fine-tuning "
-            "(grid: 2e-3, 6e-3, 2e-5, 6e-5); batch size defaults to 16 "
-            "(8 available for memory-constrained runs); 10 epochs, AdamW "
-            "weight decay 0.01, betas (0.9, 0.999), eps 1e-8. Manifest "
-            "seeds are mandatory."),
+            f"{DEFAULT_LR_PEFT:g} for PEFT plans and {DEFAULT_LR_FULL_FT:g} for "
+            f"full fine-tuning; batch size defaults to {defaults.batch_size} "
+            f"(8 available for memory-constrained runs); {defaults.epochs} epochs, "
+            f"AdamW weight decay {defaults.weight_decay:g}, betas {defaults.betas}, "
+            f"eps {defaults.eps:g}. Manifest seeds are mandatory."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_single=True):
+    def command(name, fn, help, *flags):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("--manifest", required=True, help="run manifest path")
-        if spec_single:
-            p.add_argument("--spec", help="override the manifest plan spec")
-        p.add_argument("--seed", type=int, help="override the train seed")
-        p.add_argument("--lr", type=float, help="override the learning rate")
-        p.add_argument("--batch", type=int, help="override the batch size")
-        p.add_argument("--epochs", type=int, help="override the epoch count")
-        p.add_argument("--out", help="override the output directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("plan", help="print the per-layer status partition")
-    common(p)
-    p.set_defaults(fn=cmd_plan)
-
-    p = sub.add_parser("audit", help="print trainable-parameter counts")
-    common(p, spec_single=False)
-    p.add_argument("--spec", action="append",
-                   help="plan spec to audit (repeatable; default: standard set)")
-    p.set_defaults(fn=cmd_audit)
-
-    p = sub.add_parser("train", help="train under the manifest plan")
-    common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a trained checkpoint")
-    common(p)
-    p.add_argument("--model", help="checkpoint path (default <out>/model.ckpt)")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("compare", help="train several plans and emit a CSV table")
-    common(p, spec_single=False)
-    p.add_argument("--spec", action="append", required=True,
-                   help="plan spec to include (repeat for each row)")
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("export-adapter", help="write trainable values to an adapter file")
-    common(p)
-    p.add_argument("--model", help="checkpoint path (default <out>/model.ckpt)")
+    command("plan", cmd_plan, "print the per-layer status partition", "--spec")
+    command("audit", cmd_audit, "print trainable-parameter counts").add_argument(
+        "--spec", dest="specs", metavar="SPEC", action="append",
+        help="plan spec to audit (repeatable; default: standard set)")
+    command("train", cmd_train, "train under the manifest plan",
+            "--spec", "--seed", "--lr", "--batch", "--epochs", "--out")
+    command("eval", cmd_eval, "evaluate a trained checkpoint", "--out", "--model")
+    command("compare", cmd_compare, "train several plans and emit a CSV table",
+            "--seed", "--lr", "--batch", "--epochs", "--out").add_argument(
+        "--spec", dest="specs", metavar="SPEC", action="append", required=True,
+        help="plan spec to include (repeat for each row)")
+    p = command("export-adapter", cmd_export_adapter,
+                "write trainable values to an adapter file", "--spec", "--out", "--model")
     p.add_argument("--adapter", help="adapter output path (default <out>/adapter.bin)")
-    p.set_defaults(fn=cmd_export_adapter)
-
-    p = sub.add_parser("swap-adapter", help="retarget a checkpoint to an adapter's task")
-    common(p)
-    p.add_argument("--model", help="checkpoint path (default <out>/model.ckpt)")
+    p = command("swap-adapter", cmd_swap_adapter,
+                "retarget a checkpoint to an adapter's task", "--out", "--model")
     p.add_argument("--adapter", required=True, help="adapter file to swap in")
     p.add_argument("--out-model", help="output checkpoint (default: overwrite input)")
-    p.set_defaults(fn=cmd_swap_adapter)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load(args))
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE

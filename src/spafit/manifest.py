@@ -71,7 +71,7 @@ def _parse_sections(path: str | Path) -> dict[str, dict[str, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: {exc}") from exc
 
     sections: dict[str, dict[str, str]] = {}
@@ -110,7 +110,7 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
     """Parse and validate a manifest; ``overrides`` wins over file values.
 
     Recognized override keys: spec, seed (train seed), learning_rate,
-    batch_size, epochs, out_dir.
+    batch_size, epochs, out_dir; any other key is ignored.
     """
     overrides = overrides or {}
     sections = _parse_sections(path)

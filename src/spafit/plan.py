@@ -396,9 +396,23 @@ def published_reference_m(spec: PlanSpec, config: ModelConfig) -> float | None:
 # -- adapter export / swap -------------------------------------------------------
 
 
+def recorded_plan(path, spec_text: str, config: ModelConfig) -> FinetunePlan:
+    """Compile the plan spec a container header records. A spec that does
+    not parse or fit ``config`` is a corrupt file, not a usage error."""
+    try:
+        return compile_plan(parse_plan_spec(spec_text), config)
+    except PlanError as exc:
+        raise CheckpointFormatError(f"{path}: recorded plan spec is invalid: {exc}") from exc
+
+
 def export_adapter(store: ParamStore, plan: FinetunePlan, path) -> None:
-    """Write the plan spec plus every trainable value to an adapter file."""
+    """Write the plan spec plus every trainable value to an adapter file.
+    The store must train exactly what ``plan`` trains, or ``swap_adapter``
+    would reject the file."""
     tensors = {name: t.data for name, t in store.trainable_parameters().items()}
+    if [(name, arr.shape) for name, arr in tensors.items()] \
+            != list(trainable_shapes(plan).items()):
+        raise PlanError(f"the store's trainable tensors are not those {plan.spec} trains")
     write_container(path, "adapter", store.config, tensors, plan_spec=str(plan.spec))
 
 
@@ -421,7 +435,7 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
             f"configured {store.config}")
     if header.get("plan_spec") is None:
         raise CheckpointFormatError(f"{adapter_path}: adapter records no plan spec")
-    plan = compile_plan(parse_plan_spec(header["plan_spec"]), store.config)
+    plan = recorded_plan(adapter_path, header["plan_spec"], store.config)
     owned = trainable_shapes(plan)
     check_tensors(adapter_path, tensors, owned)
 

@@ -23,10 +23,8 @@ Everything is deterministic in the task seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -216,25 +214,3 @@ def labels_array(spec: TaskSpec, records: list[DatasetRecord]) -> np.ndarray:
         return np.asarray([r.label for r in records], dtype=np.float64)
     return np.asarray([r.label for r in records], dtype=np.int64)
 
-
-# -- line-delimited serialization ---------------------------------------------
-
-
-def save_dataset(records: list[DatasetRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            row = {"text_a": rec.text_a, "label": rec.label}
-            if rec.text_b is not None:
-                row["text_b"] = rec.text_b
-            fh.write(json.dumps(row) + "\n")
-
-
-def load_dataset(path: str | Path) -> list[DatasetRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            records.append(DatasetRecord(text_a=row["text_a"],
-                                         text_b=row.get("text_b"),
-                                         label=row["label"]))
-    return records

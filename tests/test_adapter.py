@@ -231,6 +231,19 @@ class TestExportSwap:
         with pytest.raises(CompatibilityError):
             swap_adapter(other, adapter)
 
+    @pytest.mark.parametrize("attached, exported", [
+        ("fullft", "fullbitfit"), ("fulllora-I", "fulllora-II"),
+        ("fullbitfit", "spafit:N1=0,N2=1,mode=I")])
+    def test_store_not_trained_by_plan_rejected_before_writing(self, tmp_path,
+                                                               attached, exported):
+        """``swap_adapter`` would reject the file, so none is written."""
+        store = build_model(CFG, seed=4)
+        attach_lora(store, compile_plan(parse_plan_spec(attached), CFG), seed=6)
+        adapter = tmp_path / "t.adapter"
+        with pytest.raises(PlanError, match="trainable tensors"):
+            export_adapter(store, compile_plan(parse_plan_spec(exported), CFG), adapter)
+        assert not adapter.exists()
+
     def test_checkpoint_container_rejected_as_adapter(self, tmp_path):
         store = build_model(CFG, seed=4)
         ckpt = tmp_path / "model.ckpt"

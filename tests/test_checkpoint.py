@@ -21,8 +21,8 @@ from spafit.errors import (
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    CompatibilityError,
     PlanError,
-    SpafitError,
     UnknownTensorError,
 )
 from spafit.manifest import load_manifest
@@ -77,6 +77,19 @@ def test_saving_pairs_without_plan_spec_rejected(store, tmp_path):
     path = tmp_path / "model.ckpt"
     with pytest.raises(PlanError, match="plan spec"):
         save_checkpoint(store, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("attached, saved", [
+    ("fulllora-I", "fullbitfit"), ("fulllora-I", "fulllora-II"),
+    ("fullbitfit", "fulllora-I"), ("fulllora-I", "spafit:N1=0,N2=9,mode=I")])
+def test_plan_spec_not_matching_pairs_rejected(store, tmp_path, attached, saved):
+    """The loader attaches exactly the factors ``saved`` names, so a file
+    whose factors differ could not be read back; nothing is written."""
+    attach_lora(store, compile_plan(parse_plan_spec(attached), CFG), seed=9)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(PlanError):
+        save_checkpoint(store, path, plan_spec=saved)
     assert not path.exists()
 
 
@@ -193,6 +206,8 @@ HEADER_MUTATIONS = {
     "config_string_dimension": _set_config(hidden_size="8"),
     "no_plan_spec": _edit(lambda h: h.pop("plan_spec")),
     "plan_spec_not_a_string": _edit(lambda h: h.update(plan_spec=5)),
+    "plan_spec_unparsable": _edit(lambda h: h.update(plan_spec="spafit:bogus")),
+    "plan_spec_exceeds_stack": _edit(lambda h: h.update(plan_spec="spafit:N1=0,N2=9,mode=II")),
 }
 
 
@@ -243,8 +258,9 @@ def _corruptions(raw: bytes, header_end: int, seed: int, count: int):
 
 
 def test_seeded_container_fuzz_raises_only_spafit_errors(tmp_path, cli_manifest):
-    """Every corrupted checkpoint or adapter either loads or raises a
-    ``SpafitError``; through the CLI it ends in a documented exit code."""
+    """Every corrupted checkpoint either loads or raises a ``CheckpointError``,
+    every corrupted adapter a ``CheckpointError`` or ``CompatibilityError``;
+    through the CLI it ends in a documented exit code."""
     cfg = load_manifest(cli_manifest).model_config
     store = build_model(cfg, seed=5)
     plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), cfg)
@@ -255,9 +271,10 @@ def test_seeded_container_fuzz_raises_only_spafit_errors(tmp_path, cli_manifest)
     bad = tmp_path / "bad.bin"
 
     outcomes = {"loaded": 0, "rejected": 0}
-    for seed, (source, load) in enumerate([
-            (ckpt, load_checkpoint_with_plan),
-            (adapter, lambda path: swap_adapter(store.clone(), path))]):
+    for seed, (source, load, rejections) in enumerate([
+            (ckpt, load_checkpoint_with_plan, CheckpointError),
+            (adapter, lambda path: swap_adapter(store.clone(), path),
+             (CheckpointError, CompatibilityError))]):
         raw = source.read_bytes()
         header_end = 9 + struct.unpack("<I", raw[5:9])[0]
         for corrupted in _corruptions(raw, header_end, seed, count=150):
@@ -265,7 +282,7 @@ def test_seeded_container_fuzz_raises_only_spafit_errors(tmp_path, cli_manifest)
             try:
                 load(bad)
                 outcomes["loaded"] += 1
-            except SpafitError:
+            except rejections:
                 outcomes["rejected"] += 1
     assert min(outcomes.values()) > 0, outcomes
 

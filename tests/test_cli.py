@@ -1,13 +1,15 @@
 """Manifest parsing and the command-line surface, including exit codes."""
 
+import argparse
 import json
 
+import numpy as np
 import pytest
 
 import spafit.cli as cli
 from spafit import errors
 from spafit.cli import main
-from spafit.errors import ManifestError
+from spafit.errors import ManifestError, SpafitError
 from spafit.manifest import load_manifest
 
 MANIFEST = """\
@@ -115,6 +117,13 @@ class TestManifest:
         with pytest.raises(ManifestError, match="seed"):
             load_manifest(path)
 
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_bytes(MANIFEST.format(out_dir=tmp_path).encode().replace(
+            b"seed = 3", b"seed = \xff3"))
+        with pytest.raises(ManifestError, match="utf-8"):
+            load_manifest(path)
+
     def test_overrides_win(self, manifest_path):
         m = load_manifest(manifest_path, {"spec": "fullbitfit", "seed": 77,
                                           "learning_rate": 1e-4, "epochs": 1})
@@ -137,6 +146,102 @@ class TestManifest:
         path = tmp_path / "reg.manifest"
         path.write_text(text)
         assert load_manifest(path).model_config.num_labels == 1
+
+
+def _manifest_mutations(raw: bytes, seed: int, count: int):
+    """Seeded byte flips, truncations, and line deletions or duplications."""
+    rng = np.random.default_rng(seed)
+    lines = raw.splitlines(keepends=True)
+    for _ in range(count):
+        kind = rng.integers(4)
+        if kind == 0:
+            data = bytearray(raw)
+            data[int(rng.integers(len(raw)))] ^= int(rng.integers(1, 256))
+            yield bytes(data)
+        elif kind == 1:
+            yield raw[:int(rng.integers(len(raw)))]
+        else:
+            edited = list(lines)
+            i = int(rng.integers(len(lines)))
+            if kind == 2:
+                del edited[i]
+            else:
+                edited.insert(i, lines[i])
+            yield b"".join(edited)
+
+
+def test_seeded_manifest_fuzz_raises_only_spafit_errors(tmp_path, capsys):
+    """Every mutated manifest either loads or raises a ``SpafitError``;
+    through ``plan`` it ends in 0 or the usage code 2."""
+    raw = MANIFEST.format(out_dir=tmp_path / "out").encode()
+    path = tmp_path / "fuzz.manifest"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for i, mutated in enumerate(_manifest_mutations(raw, seed=0, count=200)):
+        path.write_bytes(mutated)
+        try:
+            load_manifest(path)
+            outcomes["loaded"] += 1
+        except SpafitError:
+            outcomes["rejected"] += 1
+        if i % 20 == 0:
+            assert main(["plan", "--manifest", str(path)]) in (0, 2)
+    assert min(outcomes.values()) > 0, outcomes
+    assert not (tmp_path / "out").exists()
+
+
+# The flags each command takes besides --manifest: exactly those it reads.
+COMMAND_FLAGS = {
+    "plan": {"--spec"},
+    "audit": {"--spec"},
+    "train": {"--spec", "--seed", "--lr", "--batch", "--epochs", "--out"},
+    "eval": {"--out", "--model"},
+    "compare": {"--spec", "--seed", "--lr", "--batch", "--epochs", "--out"},
+    "export-adapter": {"--spec", "--out", "--model", "--adapter"},
+    "swap-adapter": {"--out", "--model", "--adapter", "--out-model"},
+}
+OVERRIDE_FLAGS = ("--spec", "--seed", "--lr", "--batch", "--epochs", "--out")
+REMOVED_FLAGS = [(command, flag) for command, flags in COMMAND_FLAGS.items()
+                 for flag in OVERRIDE_FLAGS if flag not in flags]
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestFlagSurface:
+    def test_each_command_declares_only_the_flags_it_reads(self):
+        declared = {
+            name: [opt for action in sub._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help")]
+            for name, sub in _subparsers().items()}
+        assert {name: set(opts) for name, opts in declared.items()} == \
+            {name: flags | {"--manifest"} for name, flags in COMMAND_FLAGS.items()}
+        assert sum(len(opts) for opts in declared.values()) == 31
+        assert len(REMOVED_FLAGS) == 24
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                             ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+    def test_flag_a_command_does_not_read_is_a_usage_error(self, cli_manifest, tmp_path,
+                                                           capsys, command, flag):
+        argv = [command, "--manifest", str(cli_manifest), flag, "1"]
+        if command == "swap-adapter":
+            argv += ["--adapter", str(tmp_path / "missing.adapter")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_override_flags_reach_the_manifest(self, manifest_path, tmp_path):
+        args = cli.build_parser().parse_args([
+            "train", "--manifest", str(manifest_path), "--spec", "fullft", "--seed", "4",
+            "--lr", "0.5", "--batch", "3", "--epochs", "7", "--out", str(tmp_path / "o")])
+        m = cli._load(args)
+        assert str(m.plan_spec) == "fullft"
+        assert (m.train_config.seed, m.train_config.learning_rate,
+                m.train_config.batch_size, m.train_config.epochs) == (4, 0.5, 3, 7)
+        assert m.out_dir == tmp_path / "o"
 
 
 class TestPlanCommand:

@@ -11,10 +11,8 @@ from spafit.tasks import (
     encode_batch,
     generate_task,
     labels_array,
-    load_dataset,
     overlap_coefficient,
     planted_rule_label,
-    save_dataset,
 )
 
 PAIR = TaskSpec(kind="pair_classification", vocab_size=60, seq_len=19,
@@ -128,13 +126,3 @@ class TestEncoding:
         assert tokens.min() >= 0
         assert tokens.max() < PAIR.vocab_size
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("spec", [PAIR, SINGLE, REGRESSION])
-    def test_jsonl_round_trip(self, spec, tmp_path):
-        train, _ = generate_task(spec)
-        path = tmp_path / "data.jsonl"
-        save_dataset(train, path)
-        assert load_dataset(path) == train
-        with open(path) as fh:
-            assert len(fh.readlines()) == len(train)
