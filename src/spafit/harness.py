@@ -58,12 +58,16 @@ _PREDICT_BATCH_SIZE = 64
 
 
 def predict(store: ParamStore, spec: TaskSpec, records: list[DatasetRecord]) -> np.ndarray:
-    """Eval-mode predictions: class ids, or raw scores for regression."""
+    """Eval-mode predictions: class ids, or raw scores for regression. The
+    forward builds no autodiff graph."""
+    if not records:
+        raise InputError("predict needs at least one record")
     outputs = []
     for start in range(0, len(records), _PREDICT_BATCH_SIZE):
         chunk = records[start:start + _PREDICT_BATCH_SIZE]
         tokens, types = encode_batch(spec, chunk)
-        logits = model_forward(store, tokens, types, mode="eval")
+        with T.no_grad():
+            logits = model_forward(store, tokens, types, mode="eval")
         if spec.kind == PAIR_REGRESSION:
             outputs.append(logits.data[:, 0])
         else:

@@ -136,7 +136,11 @@ def parse_plan_spec(text: str) -> PlanSpec:
     m = _SPAFIT_RE.match(s)
     if m:
         mode = Group3Mode.FT_II if m.group(3).upper() == "II" else Group3Mode.FT_I
-        return PlanSpec(PlanKind.SPAFIT, int(m.group(1)), int(m.group(2)), mode)
+        try:
+            n1, n2 = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:  # past Python's integer string conversion limit
+            raise PlanError(f"plan spec layer count too long: {exc}") from exc
+        return PlanSpec(PlanKind.SPAFIT, n1, n2, mode)
     raise PlanError(
         f"unrecognized plan spec {text!r}; expected one of "
         "fullft | fullbitfit | fulllora-I | fulllora-II | spafit:N1=_,N2=_,mode=I|II")

@@ -10,6 +10,7 @@ plain addition.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import GraphError, ShapeError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-12
+_grad_enabled = True
 
 
 class Tensor:
@@ -77,10 +79,23 @@ class Tensor:
         return mul(self, other)
 
 
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: every op returns a bare constant. The
+    previous state comes back on exit, so blocks nest and survive errors."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """A graph node, or a bare constant when no parent needs a gradient, so
-    frozen subgraphs keep neither their operands nor their closures alive."""
-    if any(p.requires_grad for p in parents):
+    """A graph node, or a bare constant when no parent needs a gradient (or
+    under ``no_grad``), so such subgraphs keep neither their operands nor
+    their closures alive."""
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
     return Tensor(data)
 

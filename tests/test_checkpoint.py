@@ -208,6 +208,8 @@ HEADER_MUTATIONS = {
     "plan_spec_not_a_string": _edit(lambda h: h.update(plan_spec=5)),
     "plan_spec_unparsable": _edit(lambda h: h.update(plan_spec="spafit:bogus")),
     "plan_spec_exceeds_stack": _edit(lambda h: h.update(plan_spec="spafit:N1=0,N2=9,mode=II")),
+    "plan_spec_huge_int": _edit(
+        lambda h: h.update(plan_spec="spafit:N1=" + "1" * 5000 + ",N2=2,mode=II")),
 }
 
 

@@ -1,13 +1,16 @@
 """Training harness: determinism, zero-epoch base case, comparisons."""
 
+import numpy as np
 import pytest
 
 import spafit as sp
-from spafit.errors import TrainingDivergedError
+import spafit.tensor as T
+from spafit.errors import InputError, TrainingDivergedError
 from spafit.harness import compare_configs, evaluate, predict, train_run
 from spafit.metrics import accuracy
+from spafit.model import model_forward
 from spafit.plan import count_trainable
-from spafit.tasks import TaskSpec, generate_task, labels_array
+from spafit.tasks import DatasetRecord, TaskSpec, encode_batch, generate_task, labels_array
 
 MODEL_CFG = sp.ModelConfig(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32,
                            vocab_size=40, max_positions=16, lora_rank=4,
@@ -95,6 +98,68 @@ class TestTrainRun:
                            sp.TrainConfig(learning_rate=2e-3, epochs=2, seed=0))
         assert result.metric_name == "pearson"
         assert -1.0 <= result.metric_value <= 1.0
+
+
+class TestPredict:
+    # The README demo dims, one request of 64 examples.
+    DESK = sp.ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
+                          vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16)
+    DESK_TASK = TaskSpec(kind="pair_classification", vocab_size=40, seq_len=11,
+                         train_size=1, val_size=64, seed=0)
+
+    def desk_store(self):
+        store = sp.build_model(self.DESK, seed=0)
+        sp.attach_lora(store, sp.compile_plan(sp.parse_plan_spec("fullft"), self.DESK), seed=0)
+        return store
+
+    def test_empty_records_rejected(self):
+        store = sp.build_model(MODEL_CFG, seed=3)
+        with pytest.raises(InputError, match="at least one record"):
+            predict(store, TASK, [])
+        with pytest.raises(InputError, match="at least one record"):
+            evaluate(store, TASK, [])
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        """One flag per node the ops create: does it hold a backward closure."""
+        flags, result = [], T._result
+
+        def counting_result(data, parents, backward_fn):
+            out = result(data, parents, backward_fn)
+            flags.append(out._backward_fn is not None)
+            return out
+
+        monkeypatch.setattr(T, "_result", counting_result)
+        return flags
+
+    def test_builds_no_backward_closure(self, closures):
+        store = self.desk_store()
+        _, val = generate_task(self.DESK_TASK)
+        tokens, types = encode_batch(self.DESK_TASK, val)
+        logits = model_forward(store, tokens, types, mode="eval")
+        assert sum(closures) == 106  # the same forward with its graph
+        closures.clear()
+        preds = predict(store, self.DESK_TASK, val)
+        assert closures and sum(closures) == 0
+        np.testing.assert_array_equal(preds, np.argmax(logits.data, axis=1))
+
+    @pytest.mark.parametrize("spec,count", [
+        ("fullft", 120),
+        ("fullbitfit", 113),
+        ("fulllora-II", 113),
+        ("spafit:N1=1,N2=2,mode=II", 86),
+    ])
+    def test_graph_restored_after_forward_raises(self, desk_loss, closures, spec, count):
+        """A second batch whose token id is out of range fails inside the
+        forward; a training loss built after it still has its full graph
+        (the counts pinned in ``test_model.TestTrainingGraph``)."""
+        _, val = generate_task(self.DESK_TASK)
+        bad = DatasetRecord(text_a=[self.DESK.vocab_size], text_b=val[0].text_b, label=0)
+        with pytest.raises(InputError, match="token id out of range"):
+            predict(self.desk_store(), self.DESK_TASK, val + [bad])
+        closures.clear()
+        desk_loss(spec)
+        assert sum(closures) == count
 
 
 COMPARE_SPECS = ["fullft", "fullbitfit", "fulllora-I", "spafit:N1=0,N2=1,mode=II"]

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import spafit.tensor as T
 from spafit.checkpoint import read_container
 from spafit.errors import PlanError
-from spafit.model import ModelConfig, build_model, param_shapes
+from spafit.harness import predict
+from spafit.model import ModelConfig, build_model, model_forward, param_shapes
 from spafit.plan import (
     Group3Mode,
     ParamStatus,
@@ -20,8 +22,10 @@ from spafit.plan import (
     export_adapter,
     parse_plan_spec,
     published_convention_count,
+    swap_adapter,
     trainable_shapes,
 )
+from spafit.tasks import SINGLE_CLASSIFICATION, DatasetRecord, TaskSpec, encode_batch
 
 BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
                          ffn_size=4096, vocab_size=28996, max_positions=512,
@@ -32,6 +36,41 @@ TOY = ModelConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
 
 STANDARD_PLANS = ("fullft", "fullbitfit", "fulllora-I", "fulllora-II",
                   "spafit:N1=1,N2=3,mode=II")
+
+
+def random_config_and_spec(rng: np.random.Generator) -> tuple[ModelConfig, PlanSpec]:
+    """A small model config and a plan spec that fits it, drawn from ``rng``."""
+    heads = int(rng.integers(1, 4))
+    d = heads * int(rng.integers(2, 7))
+    f = int(rng.integers(2, 30))
+    layers = int(rng.integers(1, 9))
+    r = int(rng.integers(1, min(d, f) + 1))
+    cfg = ModelConfig(num_layers=layers, hidden_size=d, num_heads=heads,
+                      ffn_size=f, vocab_size=int(rng.integers(8, 60)),
+                      max_positions=int(rng.integers(4, 40)),
+                      type_vocab_size=int(rng.integers(1, 4)),
+                      num_labels=int(rng.integers(1, 5)),
+                      lora_rank=r, lora_alpha=2 * r)
+    choice = rng.integers(0, 5)
+    if choice < 4:
+        spec = [PlanSpec(PlanKind.FULL_FT), PlanSpec(PlanKind.FULL_BITFIT),
+                PlanSpec(PlanKind.FULL_LORA_I),
+                PlanSpec(PlanKind.FULL_LORA_II)][choice]
+    else:
+        n1 = int(rng.integers(0, layers + 1))
+        n2 = int(rng.integers(n1, layers + 1))
+        mode = Group3Mode.FT_II if rng.integers(2) else Group3Mode.FT_I
+        spec = PlanSpec(PlanKind.SPAFIT, n1, n2, mode)
+    return cfg, spec
+
+
+def trained_store(cfg: ModelConfig, plan, rng: np.random.Generator):
+    """A seeded base under ``plan`` whose trainables (LoRA up factors
+    included) have moved off their initial values."""
+    store = attach_lora(build_model(cfg, seed=0), plan, seed=1)
+    for t in store.trainable_parameters().values():
+        t.data += rng.normal(scale=0.1, size=t.data.shape)
+    return store
 
 
 def statuses_for_layer(plan, layer_idx: int) -> dict[str, ParamStatus]:
@@ -63,6 +102,10 @@ class TestSpecParsing:
     def test_malformed_rejected(self, bad):
         with pytest.raises(PlanError):
             parse_plan_spec(bad)
+
+    def test_layer_count_past_int_conversion_limit_rejected(self):
+        with pytest.raises(PlanError, match="too long"):
+            parse_plan_spec("spafit:N1=" + "1" * 5000 + ",N2=2,mode=II")
 
     def test_n1_greater_than_n2_rejected(self):
         with pytest.raises(PlanError):
@@ -192,27 +235,7 @@ class TestCounts:
     def test_closed_form_matches_enumeration_on_random_configs(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            heads = int(rng.integers(1, 4))
-            d = heads * int(rng.integers(2, 7))
-            f = int(rng.integers(2, 30))
-            layers = int(rng.integers(1, 9))
-            r = int(rng.integers(1, min(d, f) + 1))
-            cfg = ModelConfig(num_layers=layers, hidden_size=d, num_heads=heads,
-                              ffn_size=f, vocab_size=int(rng.integers(8, 60)),
-                              max_positions=int(rng.integers(4, 40)),
-                              type_vocab_size=int(rng.integers(1, 4)),
-                              num_labels=int(rng.integers(1, 5)),
-                              lora_rank=r, lora_alpha=2 * r)
-            choice = rng.integers(0, 5)
-            if choice < 4:
-                spec = [PlanSpec(PlanKind.FULL_FT), PlanSpec(PlanKind.FULL_BITFIT),
-                        PlanSpec(PlanKind.FULL_LORA_I),
-                        PlanSpec(PlanKind.FULL_LORA_II)][choice]
-            else:
-                n1 = int(rng.integers(0, layers + 1))
-                n2 = int(rng.integers(n1, layers + 1))
-                mode = Group3Mode.FT_II if rng.integers(2) else Group3Mode.FT_I
-                spec = PlanSpec(PlanKind.SPAFIT, n1, n2, mode)
+            cfg, spec = random_config_and_spec(rng)
             plan = compile_plan(spec, cfg)
             for include_head in (True, False):
                 assert closed_form_count(spec, cfg, include_head) \
@@ -260,3 +283,46 @@ class TestCounts:
         head = (d * d + d) + (labels * d + labels)
         assert count_trainable(plan, TOY, True) \
             == count_trainable(plan, TOY, False) + head
+
+
+class TestEvalWithoutGraph:
+    @pytest.mark.parametrize("text", STANDARD_PLANS)
+    def test_logits_equal_with_graph_logits(self, text):
+        rng = np.random.default_rng(3)
+        store = trained_store(TOY, compile_plan(parse_plan_spec(text), TOY), rng)
+        tokens = rng.integers(0, TOY.vocab_size, size=(5, 7))
+        types = rng.integers(0, TOY.type_vocab_size, size=(5, 7))
+        with_graph = model_forward(store, tokens, types, mode="eval")
+        with T.no_grad():
+            bare = model_forward(store, tokens, types, mode="eval")
+        assert with_graph.requires_grad and not bare.requires_grad
+        assert np.array_equal(bare.data, with_graph.data)
+
+    def test_seeded_random_configs_and_plans(self, tmp_path):
+        """Over seeded small configs and plans: the two trainable counts
+        agree, ``predict`` is the argmax of the with-graph logits, and an
+        exported adapter swapped into a fresh base gives the same logits."""
+        rng = np.random.default_rng(21)
+        adapter = tmp_path / "task.adapter"
+        for _ in range(30):
+            cfg, spec = random_config_and_spec(rng)
+            plan = compile_plan(spec, cfg)
+            assert closed_form_count(spec, cfg, False) \
+                == count_trainable(plan, cfg, include_head=False), (spec, cfg)
+
+            seq = cfg.max_positions
+            task = TaskSpec(kind=SINGLE_CLASSIFICATION, vocab_size=cfg.vocab_size,
+                            seq_len=seq, train_size=1, val_size=70, seed=0)
+            records = [DatasetRecord(rng.integers(0, cfg.vocab_size, seq - 2).tolist(),
+                                     None, 0) for _ in range(70)]
+            tokens, types = encode_batch(task, records)
+            store = trained_store(cfg, plan, rng)
+            logits = model_forward(store, tokens, types, mode="eval").data
+            np.testing.assert_array_equal(predict(store, task, records),
+                                          np.argmax(logits, axis=1))
+
+            export_adapter(store, plan, adapter)
+            fresh = build_model(cfg, seed=0)
+            swap_adapter(fresh, adapter)
+            assert np.array_equal(
+                model_forward(fresh, tokens, types, mode="eval").data, logits), (spec, cfg)

@@ -182,6 +182,36 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [2.0])
 
 
+class TestNoGrad:
+    @staticmethod
+    def builds_graph() -> bool:
+        out = T.add(Tensor([1.0], requires_grad=True), Tensor([2.0]))
+        return out._backward_fn is not None
+
+    def test_ops_return_bare_constants(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        x = Tensor(np.ones((4, 2)))
+        with T.no_grad():
+            out = T.gelu(T.linear(x, w, Tensor(np.zeros(3))))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+        T.backward(T.tensor_sum(out))
+        assert w.grad is None
+
+    def test_nests_and_restores(self):
+        with T.no_grad():
+            with T.no_grad():
+                assert not self.builds_graph()
+            assert not self.builds_graph()
+        assert self.builds_graph()
+
+    def test_restored_after_an_exception(self):
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        assert self.builds_graph()
+
+
 class TestGradientLayout:
     def test_leaf_grads_are_fresh_c_ordered_arrays(self, desk_loss):
         """Guards the optimizer's speed (C order) and the take-over of a first
