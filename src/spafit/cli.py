@@ -108,7 +108,7 @@ def cmd_train(args, m: RunManifest) -> int:
     attach_lora(store, plan, seed=m.model_seed)
     train_records, val_records = generate_task(m.task_spec)
     result = train_run(store, plan, m.task_spec, train_records, val_records,
-                       m.train_config, m.metric)
+                       m.train_config)
     m.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = m.out_dir / "model.ckpt"
     save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
@@ -121,7 +121,7 @@ def cmd_train(args, m: RunManifest) -> int:
 def cmd_eval(args, m: RunManifest) -> int:
     store, _ = load_checkpoint_with_plan(_checkpoint_path(args, m))
     _, val_records = generate_task(m.task_spec)
-    name, value = evaluate(store, m.task_spec, val_records, m.metric)
+    name, value = evaluate(store, m.task_spec, val_records)
     print(json.dumps({"metric_name": name, "metric_value": value}))
     return 0
 
@@ -129,7 +129,7 @@ def cmd_eval(args, m: RunManifest) -> int:
 def cmd_compare(args, m: RunManifest) -> int:
     specs = [parse_plan_spec(text) for text in args.specs]
     table = compare_configs(specs, m.model_config, m.task_spec, m.train_config,
-                            m.model_seed, metric=m.metric)
+                            m.model_seed)
     csv_text = table.to_csv()
     print(csv_text, end="")
     m.out_dir.mkdir(parents=True, exist_ok=True)

@@ -29,14 +29,6 @@ from .tasks import (
     labels_array,
 )
 
-_METRIC_FNS = {
-    "accuracy": M.accuracy,
-    "f1": M.f1_binary,
-    "mcc": M.matthews_corr,
-    "pearson": M.pearson_corr,
-}
-
-
 @dataclass
 class RunResult:
     """Everything needed to reproduce and report one training run."""
@@ -75,19 +67,19 @@ def predict(store: ParamStore, spec: TaskSpec, records: list[DatasetRecord]) -> 
     return np.concatenate(outputs)
 
 
-def evaluate(store: ParamStore, spec: TaskSpec, records: list[DatasetRecord],
-             metric: str | None = None) -> tuple[str, float]:
-    """Metric name and value of the store on ``records`` (eval mode)."""
-    name = metric or spec.metric_name
-    if name not in _METRIC_FNS:
-        raise InputError(f"unknown metric {name!r}; choose from {sorted(_METRIC_FNS)}")
-    if name == "pearson" and spec.kind != PAIR_REGRESSION:
-        raise InputError("pearson is only defined for regression tasks")
-    if name in ("f1", "mcc") and spec.kind == PAIR_REGRESSION:
-        raise InputError(f"{name} is only defined for classification tasks")
+def _check_head(store: ParamStore, spec: TaskSpec) -> None:
+    if store.config.num_labels != spec.model_num_labels:
+        raise InputError(f"model head has {store.config.num_labels} outputs but the "
+                         f"{spec.kind} task needs {spec.model_num_labels}")
+
+
+def evaluate(store: ParamStore, spec: TaskSpec, records: list[DatasetRecord]) -> tuple[str, float]:
+    """The task's metric name and value of the store on ``records`` (eval mode)."""
+    _check_head(store, spec)
     preds = predict(store, spec, records)
     gold = labels_array(spec, records)
-    return name, float(_METRIC_FNS[name](preds.tolist(), gold.tolist()))
+    name = spec.metric_name
+    return name, float(M.METRICS[name](preds.tolist(), gold.tolist()))
 
 
 def _batch_loss(store: ParamStore, spec: TaskSpec, tokens: np.ndarray,
@@ -101,8 +93,9 @@ def _batch_loss(store: ParamStore, spec: TaskSpec, tokens: np.ndarray,
 
 def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
               train_records: list[DatasetRecord], val_records: list[DatasetRecord],
-              cfg: TrainConfig, metric: str | None = None) -> RunResult:
+              cfg: TrainConfig) -> RunResult:
     """Minibatch AdamW over the plan's trainables, then a validation pass."""
+    _check_head(store, task_spec)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamW(store.trainable_parameters(), cfg)
@@ -130,7 +123,7 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
             step += 1
         epoch_losses.append(float(np.mean(losses)))
 
-    name, value = evaluate(store, task_spec, val_records, metric)
+    name, value = evaluate(store, task_spec, val_records)
     return RunResult(
         plan_spec=str(plan.spec),
         trainable_count=count_trainable(plan, store.config, include_head=True),
@@ -169,8 +162,7 @@ class ComparisonTable:
 def compare_configs(specs: list[PlanSpec], model_cfg: ModelConfig, task_spec: TaskSpec,
                     train_cfg: TrainConfig, model_seed: int,
                     train_records: list[DatasetRecord] | None = None,
-                    val_records: list[DatasetRecord] | None = None,
-                    metric: str | None = None) -> ComparisonTable:
+                    val_records: list[DatasetRecord] | None = None) -> ComparisonTable:
     """Train every plan from the same base weights; one result row per spec.
 
     The best row among the parameter-efficient plans (full fine-tuning is
@@ -185,7 +177,7 @@ def compare_configs(specs: list[PlanSpec], model_cfg: ModelConfig, task_spec: Ta
         plan = compile_plan(spec, model_cfg)
         attach_lora(store, plan, seed=model_seed)
         rows.append(train_run(store, plan, task_spec, train_records, val_records,
-                              train_cfg, metric))
+                              train_cfg))
 
     best: int | None = None
     for i, (spec, row) in enumerate(zip(specs, rows)):

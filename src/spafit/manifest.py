@@ -62,7 +62,6 @@ class RunManifest:
     plan_spec: PlanSpec
     train_config: TrainConfig
     task_spec: TaskSpec
-    metric: str | None
     out_dir: Path
 
 
@@ -117,13 +116,13 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
 
     model = _convert("model", sections["model"])
     model_seed = model.pop("seed")
+    if model_seed < 0:
+        raise ManifestError(f"model seed must be >= 0, got {model_seed}")
 
     plan_text = overrides.get("spec") or sections["plan"]["spec"]
     plan_spec = parse_plan_spec(plan_text)
 
-    task_raw = _convert("task", sections["task"])
-    metric = task_raw.pop("metric", None)
-    task_spec = TaskSpec(**task_raw)
+    task_spec = TaskSpec(**_convert("task", sections["task"]))
 
     train_raw = _convert("train", sections.get("train", {}))
     betas = (train_raw.pop("beta1", 0.9), train_raw.pop("beta2", 0.999))
@@ -146,4 +145,4 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
                    or sections.get("outputs", {}).get("out_dir", "runs"))
     return RunManifest(model_config=model_config, model_seed=model_seed,
                        plan_spec=plan_spec, train_config=train_config,
-                       task_spec=task_spec, metric=metric, out_dir=out_dir)
+                       task_spec=task_spec, out_dir=out_dir)

@@ -70,3 +70,11 @@ def pearson_corr(predicted: Sequence[float], gold: Sequence[float]) -> float:
     if var_p == 0.0 or var_g == 0.0:
         raise InputError("correlation undefined: zero variance on one side")
     return float(np.sum(dp * dg) / math.sqrt(var_p * var_g))
+
+
+METRICS = {
+    "accuracy": accuracy,
+    "f1": f1_binary,
+    "mcc": matthews_corr,
+    "pearson": pearson_corr,
+}

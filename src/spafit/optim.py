@@ -45,6 +45,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"train seed must be >= 0, got {self.seed}")
 
 
 class AdamW:

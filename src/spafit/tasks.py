@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TaskSpecError
+from .metrics import METRICS
 
 PAD_ID, CLS_ID, SEP_ID = 0, 1, 2
 FIRST_CONTENT_ID = 3
@@ -52,10 +53,13 @@ class TaskSpec:
     seed: int
     num_labels: int = 2
     noise_std: float = 0.15
+    metric: str | None = None  # None: the kind's default, see metric_name
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise TaskSpecError(f"unknown task kind {self.kind!r}")
+        if self.seed < 0:
+            raise TaskSpecError(f"task seed must be >= 0, got {self.seed}")
         if self.train_size < 1 or self.val_size < 1:
             raise TaskSpecError("train/val sizes must be >= 1")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
@@ -80,6 +84,13 @@ class TaskSpec:
                 raise TaskSpecError(
                     f"vocab_size {self.vocab_size} too small for disjoint "
                     "topic and distractor pools")
+        if self.metric is not None:
+            if self.metric not in METRICS:
+                raise TaskSpecError(f"metric {self.metric!r} is not one of {sorted(METRICS)}")
+            if (self.metric == "pearson") != (self.kind == PAIR_REGRESSION):
+                raise TaskSpecError(f"metric {self.metric!r} does not fit a {self.kind} task")
+            if self.metric in ("f1", "mcc") and self.num_labels != 2:
+                raise TaskSpecError(f"metric {self.metric!r} needs 2 labels, got {self.num_labels}")
 
     def segment_lengths(self) -> tuple[int, int]:
         """Content token counts (first, second); second is 0 for single tasks."""
@@ -91,7 +102,7 @@ class TaskSpec:
 
     @property
     def metric_name(self) -> str:
-        return "pearson" if self.kind == PAIR_REGRESSION else "accuracy"
+        return self.metric or ("pearson" if self.kind == PAIR_REGRESSION else "accuracy")
 
     @property
     def model_num_labels(self) -> int:

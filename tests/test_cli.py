@@ -89,6 +89,16 @@ def bert_manifest_path(tmp_path):
     return path
 
 
+def _set_keys(text: str, section: str, lines: str) -> str:
+    """``text`` with each ``key = value`` of ``lines`` set in ``[section]``,
+    replacing the key's line where the section already has one."""
+    head, _, rest = text.partition(f"[{section}]\n")
+    body, sep, tail = rest.partition("\n[")
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in body.splitlines() if line.split("=")[0].strip() not in keys]
+    return f"{head}[{section}]\n" + "\n".join([*lines.splitlines(), *kept]) + sep + tail
+
+
 class TestManifest:
     def test_load_and_fields(self, manifest_path, tmp_path):
         m = load_manifest(manifest_path)
@@ -294,6 +304,21 @@ class TestTrainEvalRoundTrip:
         assert evaluated["metric_value"] == result["metric_value"]
         assert evaluated["metric_name"] == result["metric_name"]
 
+    def test_eval_against_a_different_head_exits_2(self, tmp_path, capsys):
+        """A regression checkpoint (one output) against a 3-label task."""
+        regression, three_labels = tmp_path / "reg.manifest", tmp_path / "three.manifest"
+        text = MANIFEST.format(out_dir=tmp_path / "out")
+        regression.write_text(_set_keys(text, "task", "kind = pair_regression"))
+        three_labels.write_text(_set_keys(
+            text, "task", "kind = single_sentence_classification\nnum_labels = 3"))
+        assert main(["train", "--manifest", str(regression), "--epochs", "0"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--manifest", str(three_labels)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: model head has 1 outputs but the "
+                                "single_sentence_classification task needs 3\n")
+
     def test_missing_checkpoint_exits_5(self, manifest_path, capsys):
         assert main(["eval", "--manifest", str(manifest_path),
                      "--model", "/nonexistent/model.ckpt"]) == 5
@@ -308,20 +333,38 @@ class TestDivergence:
         assert "non-finite loss" in capsys.readouterr().err
 
 
+def _refuse_to_train(*args, **kwargs):
+    raise AssertionError("train_run entered")
+
+
 class TestNonFiniteValues:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("section, line", [
         ("train", "learning_rate = nan"), ("train", "learning_rate = inf"),
         ("train", "weight_decay = nan"), ("train", "eps = 0"),
         ("task", "noise_std = nan"),
+        ("task", "metric = f2"),
+        ("task", "metric = pearson"),
+        ("task", "kind = pair_regression\nmetric = accuracy"),
+        ("task", "kind = single_sentence_classification\nnum_labels = 3\nmetric = f1"),
+        ("model", "seed = -1"), ("train", "seed = -1"), ("task", "seed = -1"),
     ])
-    def test_train_exits_2_before_training(self, tmp_path, capsys, section, line):
-        text = MANIFEST.format(out_dir=tmp_path / "out").replace("learning_rate = 2e-3\n", "")
+    def test_train_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                           section, line):
         path = tmp_path / "bad.manifest"
-        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), section, line))
+        with pytest.raises(SpafitError):
+            load_manifest(path)
+        monkeypatch.setattr(cli, "train_run", _refuse_to_train)
         assert main(["train", "--manifest", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_2(self, manifest_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train_run", _refuse_to_train)
+        assert main(["train", "--manifest", str(manifest_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: train seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,7 @@
 """Training harness: determinism, zero-epoch base case, comparisons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,12 @@ def datasets():
 
 
 def fresh_run(train_cfg, plan_text="spafit:N1=0,N2=1,mode=II", datasets=None,
-              metric=None):
+              task=TASK):
     store = sp.build_model(MODEL_CFG, seed=3)
     plan = sp.compile_plan(sp.parse_plan_spec(plan_text), MODEL_CFG)
     sp.attach_lora(store, plan, seed=3)
     train, val = datasets
-    result = train_run(store, plan, TASK, train, val, train_cfg, metric)
+    result = train_run(store, plan, task, train, val, train_cfg)
     return store, result
 
 
@@ -66,9 +68,24 @@ class TestTrainRun:
 
     def test_metric_override_f1(self, datasets):
         cfg = sp.TrainConfig(learning_rate=2e-3, epochs=1, seed=0)
-        _, result = fresh_run(cfg, datasets=datasets, metric="f1")
+        _, result = fresh_run(cfg, datasets=datasets,
+                              task=dataclasses.replace(TASK, metric="f1"))
         assert result.metric_name == "f1"
         assert 0.0 <= result.metric_value <= 1.0
+
+    def test_head_of_another_task_rejected_before_training(self, datasets):
+        train, val = datasets
+        cfg = dataclasses.replace(MODEL_CFG, num_labels=1)
+        store = sp.build_model(cfg, seed=3)
+        plan = sp.compile_plan(sp.parse_plan_spec("fullbitfit"), cfg)
+        sp.attach_lora(store, plan, seed=3)
+        before = {name: t.data.copy() for name, t in store.params.items()}
+        message = "model head has 1 outputs but the pair_classification task needs 2"
+        with pytest.raises(InputError, match=message):
+            evaluate(store, TASK, val)
+        with pytest.raises(InputError, match=message):
+            train_run(store, plan, TASK, train, val, sp.TrainConfig(epochs=1))
+        assert all(np.array_equal(t.data, before[name]) for name, t in store.params.items())
 
     def test_trainable_count_matches_plan_audit(self, datasets):
         cfg = sp.TrainConfig(learning_rate=1e-3, epochs=1, seed=0)

@@ -20,6 +20,7 @@ from spafit.plan import (
     compile_plan,
     count_trainable,
     export_adapter,
+    merge_lora,
     parse_plan_spec,
     published_convention_count,
     swap_adapter,
@@ -301,7 +302,9 @@ class TestEvalWithoutGraph:
     def test_seeded_random_configs_and_plans(self, tmp_path):
         """Over seeded small configs and plans: the two trainable counts
         agree, ``predict`` is the argmax of the with-graph logits, and an
-        exported adapter swapped into a fresh base gives the same logits."""
+        exported adapter swapped into a fresh base gives the same logits, and
+        merging the low-rank pairs keeps them within criterion 5's 1e-9 (a
+        draw with no pairs has nothing to merge)."""
         rng = np.random.default_rng(21)
         adapter = tmp_path / "task.adapter"
         for _ in range(30):
@@ -326,3 +329,10 @@ class TestEvalWithoutGraph:
             swap_adapter(fresh, adapter)
             assert np.array_equal(
                 model_forward(fresh, tokens, types, mode="eval").data, logits), (spec, cfg)
+
+            if store.lora:
+                merged = model_forward(merge_lora(store), tokens, types, mode="eval").data
+                assert np.abs(merged - logits).max() < 1e-9, (spec, cfg)
+            else:
+                with pytest.raises(PlanError, match="nothing to merge"):
+                    merge_lora(store)

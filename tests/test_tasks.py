@@ -1,5 +1,7 @@
 """Synthetic task generators: determinism, planted-rule fidelity, encoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ SINGLE = TaskSpec(kind="single_sentence_classification", vocab_size=40,
                   seq_len=12, train_size=150, val_size=40, seed=4)
 REGRESSION = TaskSpec(kind="pair_regression", vocab_size=60, seq_len=19,
                       train_size=120, val_size=30, seed=5)
+SINGLE_3 = dataclasses.replace(SINGLE, num_labels=3)
+
+# The metrics each task may name; the first is its default.
+LEGAL_METRICS = [(PAIR, ("accuracy", "f1", "mcc")), (SINGLE, ("accuracy", "f1", "mcc")),
+                 (SINGLE_3, ("accuracy",)), (REGRESSION, ("pearson",))]
 
 
 class TestDeterminism:
@@ -91,6 +98,17 @@ class TestSpecValidation:
         with pytest.raises(TaskSpecError, match="binary"):
             TaskSpec(kind="pair_classification", vocab_size=60, seq_len=19,
                      train_size=10, val_size=5, seed=0, num_labels=3)
+
+    @pytest.mark.parametrize("spec, legal", LEGAL_METRICS,
+                             ids=["pair", "single", "single-3", "regression"])
+    def test_metric_fits_the_task(self, spec, legal):
+        assert spec.metric_name == legal[0]
+        for name in ("accuracy", "f1", "mcc", "pearson", "f2"):
+            if name in legal:
+                assert dataclasses.replace(spec, metric=name).metric_name == name
+            else:
+                with pytest.raises(TaskSpecError, match=f"metric '{name}'"):
+                    dataclasses.replace(spec, metric=name)
 
     @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -0.1])
     def test_non_finite_or_negative_noise_rejected(self, noise_std):
