@@ -1,8 +1,13 @@
 """Stratified parameter-efficient fine-tuning on a minimal autodiff encoder."""
 
+from .heap import fix_thresholds
+
+fix_thresholds()
+
 from .errors import (
     CheckpointError,
     CompatibilityError,
+    ConfigError,
     GraphError,
     InputError,
     ManifestError,
@@ -52,6 +57,7 @@ __all__ = [
     "CheckpointError",
     "CompatibilityError",
     "ComparisonTable",
+    "ConfigError",
     "DatasetRecord",
     "FinetunePlan",
     "GraphError",

@@ -38,6 +38,10 @@ class TrainingDivergedError(SpafitError, RuntimeError):
         self.loss = loss
 
 
+class ConfigError(SpafitError, ValueError):
+    """A model or training configuration field is out of range."""
+
+
 class ManifestError(SpafitError, ValueError):
     """Run manifest is malformed or contains unknown keys."""
 

@@ -9,13 +9,12 @@ dropout -> GELU feed-forward -> dense + residual + LayerNorm -> dropout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError
 from .tensor import Tensor
 
 INIT_STD = 0.02
@@ -39,26 +38,22 @@ class ModelConfig:
 
     def __post_init__(self):
         if type(self.num_layers) is not int or self.num_layers < 0:
-            raise ValueError(f"num_layers must be an int >= 0, got {self.num_layers!r}")
+            raise ConfigError(f"num_layers must be an int >= 0, got {self.num_layers!r}")
         for name in ("hidden_size", "num_heads", "ffn_size", "vocab_size",
                      "max_positions", "type_vocab_size", "num_labels",
                      "lora_rank", "lora_alpha"):
             value = getattr(self, name)
             if type(value) is not int or value <= 0:
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
+                raise ConfigError(f"{name} must be a positive int, got {value!r}")
         if self.hidden_size % self.num_heads != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}")
         if self.lora_rank > min(self.hidden_size, self.ffn_size):
-            raise ValueError(
+            raise ConfigError(
                 f"lora_rank {self.lora_rank} exceeds min(hidden_size, ffn_size) "
                 f"= {min(self.hidden_size, self.ffn_size)}")
         if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
-
-    @property
-    def head_size(self) -> int:
-        return self.hidden_size // self.num_heads
+            raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
 
 
 LAYER_SUBPATHS: tuple[tuple[str, str], ...] = (
@@ -222,23 +217,11 @@ def _linear(store: ParamStore, prefix: str, x: Tensor) -> Tensor:
 
 
 def _self_attention(store: ParamStore, layer: int, x: Tensor) -> Tensor:
-    cfg = store.config
     base = f"encoder.layer.{layer}.attention.self"
     q = _linear(store, f"{base}.query", x)
     k = _linear(store, f"{base}.key", x)
     v = _linear(store, f"{base}.value", x)
-
-    batch, seq, _ = x.shape
-    heads, hd = cfg.num_heads, cfg.head_size
-
-    def split_heads(t: Tensor) -> Tensor:
-        return T.transpose(T.reshape(t, (batch, seq, heads, hd)), (0, 2, 1, 3))
-
-    q, k, v = split_heads(q), split_heads(k), split_heads(v)
-    scores = T.matmul(q, T.transpose(k)) * (1.0 / math.sqrt(hd))
-    probs = T.softmax(scores)
-    context = T.matmul(probs, v)
-    return T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, seq, cfg.hidden_size))
+    return T.attention(q, k, v, store.config.num_heads)
 
 
 def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = "eval",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OptimizerError
+from .errors import ConfigError, OptimizerError
 from .tensor import Tensor
 
 # Best-performing learning rates: PEFT plans prefer the larger one, full
@@ -34,19 +34,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
-            raise ValueError(f"betas must lie in [0, 1), got {self.betas}")
+            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
         if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
-            raise ValueError(f"train seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
 
 
 class AdamW:

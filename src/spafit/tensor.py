@@ -253,6 +253,57 @@ def softmax(x: Tensor) -> Tensor:
     return _result(s, (x,), backward_fn)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over ``[batch, seq, hidden]``
+    projections: split the heads, ``softmax((q_h @ k_h.T) / sqrt(hd)) @ v_h``
+    per head, merge the heads.
+
+    One node in place of the reshape/transpose/matmul/scale/softmax chain,
+    with the same numpy operations on the same operand layouts, so value and
+    gradients are bit-identical to that chain.
+    """
+    shape = q.data.shape
+    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(f"attention needs equal 3-D q, k, v, got {shape}, "
+                         f"{k.data.shape}, {v.data.shape}")
+    batch, seq, hidden = shape
+    if num_heads < 1 or hidden % num_heads != 0:
+        raise ShapeError(f"attention hidden size {hidden} not divisible by "
+                         f"num_heads {num_heads}")
+    hd = hidden // num_heads
+    c = 1.0 / math.sqrt(hd)
+
+    def split_heads(t: np.ndarray) -> np.ndarray:
+        return np.transpose(t.reshape(batch, seq, num_heads, hd), (0, 2, 1, 3))
+
+    qh, kh, vh = split_heads(q.data), split_heads(k.data), split_heads(v.data)
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    scores = (qh @ kt) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    context = s @ vh
+
+    def backward_fn(g):
+        # C order, as the chain's gradient copies handed it to its matmuls.
+        gc = np.ascontiguousarray(np.transpose(g.reshape(batch, seq, num_heads, hd),
+                                               (0, 2, 1, 3)))
+        if q.requires_grad or k.requires_grad:
+            gs = gc @ np.swapaxes(vh, -1, -2)
+            gs = (s * (gs - (gs * s).sum(axis=-1, keepdims=True))) * c
+            if q.requires_grad:
+                gq = gs @ np.swapaxes(kt, -1, -2)
+                q._accumulate(np.transpose(gq, (0, 2, 1, 3)).reshape(shape))
+            if k.requires_grad:
+                gkt = np.swapaxes(qh, -1, -2) @ gs
+                k._accumulate(np.transpose(gkt, (0, 3, 1, 2)).reshape(shape))
+        if v.requires_grad:
+            gv = np.swapaxes(s, -1, -2) @ gc
+            v._accumulate(np.transpose(gv, (0, 2, 1, 3)).reshape(shape))
+
+    return _result(np.transpose(context, (0, 2, 1, 3)).reshape(shape), (q, k, v),
+                   backward_fn)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 

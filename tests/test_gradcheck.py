@@ -5,11 +5,17 @@ projection of the output; the autodiff path never sees the perturbed
 values, so the two routes are independent.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import spafit.tensor as T
+from spafit.harness import train_run
 from spafit.model import ModelConfig, build_model, encoder_layer_forward
+from spafit.optim import TrainConfig
+from spafit.plan import attach_lora, compile_plan, parse_plan_spec
+from spafit.tasks import TaskSpec, generate_task
 from spafit.tensor import Tensor
 
 H = 1e-5
@@ -162,6 +168,74 @@ def test_softmax_attention_block_gradients(rng):
         return weighted_sum(T.matmul(T.softmax(scores), ts[2]), w)
 
     check_gradients(attention, [q, k, v])
+
+
+@pytest.mark.parametrize("frozen", [None, 0, 1, 2])
+def test_attention_gradients(rng, frozen):
+    """Two heads; q, k and v all trainable, then each one frozen in turn."""
+    arrays = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
+    w = rng.standard_normal((2, 3, 4))
+    check_gradients(lambda ts: weighted_sum(T.attention(*ts, num_heads=2), w), arrays,
+                    frozen=() if frozen is None else (frozen,))
+
+
+def primitive_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+    """The 13-node chain ``attention`` replaced in the encoder: head split,
+    score, scale, softmax, context and head merge from the primitive ops."""
+    batch, seq, hidden = q.shape
+    hd = hidden // num_heads
+
+    def split_heads(t: Tensor) -> Tensor:
+        return T.transpose(T.reshape(t, (batch, seq, num_heads, hd)), (0, 2, 1, 3))
+
+    q, k, v = split_heads(q), split_heads(k), split_heads(v)
+    scores = T.matmul(q, T.transpose(k)) * (1.0 / math.sqrt(hd))
+    probs = T.softmax(scores)
+    context = T.matmul(probs, v)
+    return T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, seq, hidden))
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 8), (2, 5, 12)])
+def test_attention_matches_primitive_chain_bitwise(rng, shape):
+    """Two heads; at hidden 12 the scale 1/sqrt(6) is inexact, so the order
+    of scale and softmax backward shows in the bits."""
+    arrays = [rng.standard_normal(shape) for _ in range(3)]
+    w = rng.standard_normal(shape)
+    runs = []
+    for fn in (T.attention, primitive_attention):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*ts, 2)
+        weighted_sum(out, w).backward()
+        runs.append([out.data] + [t.grad for t in ts])
+    for fused, primitive in zip(*runs):
+        np.testing.assert_array_equal(fused, primitive)
+
+
+def test_desk_training_matches_primitive_chain_bitwise(monkeypatch):
+    """16 train steps of the stratified plan at the README demo dims, with
+    dropout, end on the same bits whichever attention the encoder runs."""
+    cfg = ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
+                      vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16,
+                      dropout_p=0.1)
+    task = TaskSpec(kind="pair_classification", vocab_size=40, seq_len=11,
+                    train_size=256, val_size=1, seed=0)
+    train, val = generate_task(task)
+    plan = compile_plan(parse_plan_spec("spafit:N1=1,N2=2,mode=II"), cfg)
+
+    def trained():
+        store = attach_lora(build_model(cfg, seed=0), plan, seed=0)
+        result = train_run(store, plan, task, train, val,
+                           TrainConfig(learning_rate=2e-3, epochs=1, seed=1))
+        params = store.params | store.factors()
+        return result.epoch_losses, {name: t.data for name, t in params.items()}
+
+    fused = trained()
+    monkeypatch.setattr(T, "attention", primitive_attention)
+    primitive = trained()
+    assert fused[0] == primitive[0]
+    assert fused[1].keys() == primitive[1].keys()
+    for name, data in fused[1].items():
+        np.testing.assert_array_equal(data, primitive[1][name], err_msg=name)
 
 
 def test_two_layer_mlp_gradients(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spafit.tensor as T
-from spafit.errors import InputError, ShapeError
+from spafit.errors import InputError, ShapeError, SpafitError
 from spafit.model import (
     ModelConfig,
     _linear,
@@ -14,6 +14,7 @@ from spafit.model import (
     param_shapes,
     total_parameter_count,
 )
+from spafit.optim import TrainConfig
 from spafit.plan import attach_lora, compile_plan, parse_plan_spec
 from spafit.tensor import LAYER_NORM_EPS, Tensor
 
@@ -106,6 +107,13 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="lora_rank"):
             ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=4,
                         vocab_size=10, max_positions=8, lora_rank=6)
+
+    def test_invalid_configs_raise_the_package_error(self):
+        with pytest.raises(SpafitError, match="divisible"):
+            ModelConfig(num_layers=1, hidden_size=30, num_heads=4, ffn_size=16,
+                        vocab_size=10, max_positions=8)
+        with pytest.raises(SpafitError, match="seed"):
+            TrainConfig(seed=-1)
 
 
 class TestEncoderLayer:
@@ -282,14 +290,15 @@ def reachable(loss: Tensor) -> list[Tensor]:
 
 class TestTrainingGraph:
     @pytest.mark.parametrize("spec,closures", [
-        ("fullft", 120),
-        ("fullbitfit", 113),
-        ("fulllora-II", 113),
-        ("spafit:N1=1,N2=2,mode=II", 86),
+        ("fullft", 72),
+        ("fullbitfit", 65),
+        ("fulllora-II", 65),
+        ("spafit:N1=1,N2=2,mode=II", 50),
     ])
     def test_backward_closure_count(self, desk_loss, spec, closures):
         """Pins the graph size of one desk-size training loss (the primitive
-        matmul/transpose/add/scale linear layers built 172/138/231/153)."""
+        matmul/transpose/add/scale linear layers built 172/138/231/153, and
+        the 13-node primitive attention chain 120/113/113/86)."""
         _, loss = desk_loss(spec)
         assert sum(n._backward_fn is not None for n in reachable(loss)) == closures
 
@@ -309,3 +318,15 @@ class TestTrainingGraph:
             monkeypatch.setattr(T, name, None)
         for prefix, want in zip(prefixes, expected):  # fresh biases and B are zero
             np.testing.assert_allclose(_linear(store, prefix, x).data, want, atol=1e-15)
+
+    def test_attention_is_one_fused_op(self, monkeypatch):
+        store = build_model(TOY, seed=0)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 8)), requires_grad=True)
+        w = Tensor(np.random.default_rng(1).standard_normal((2, 3, 8)))
+        query = store.params["encoder.layer.0.attention.self.query.weight"]
+        for name in ("matmul", "transpose", "reshape", "softmax", "scale"):
+            monkeypatch.setattr(T, name, None)
+        out = encoder_layer_forward(store, 0, x, mode="eval")
+        T.tensor_sum(T.mul(out, w)).backward()
+        assert out.data.shape == (2, 3, 8)
+        assert np.abs(x.grad).max() > 0 and np.abs(query.grad).max() > 0

@@ -62,6 +62,30 @@ class TestSoftmax:
         assert (out.data >= 0).all()
 
 
+class TestAttention:
+    QKV = [Tensor(np.ones((2, 3, 4)), requires_grad=True) for _ in range(3)]
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 5, 4\)"):
+            T.attention(self.QKV[0], Tensor(np.ones((2, 5, 4))), self.QKV[2], 2)
+
+    def test_non_3d_inputs_rejected(self):
+        flat = Tensor(np.ones((6, 4)))
+        with pytest.raises(ShapeError, match="3-D"):
+            T.attention(flat, flat, flat, 2)
+
+    def test_hidden_not_divisible_by_heads_rejected(self):
+        with pytest.raises(ShapeError, match="divisible"):
+            T.attention(*self.QKV, 3)
+
+    def test_no_grad_returns_bare_constant(self):
+        with T.no_grad():
+            out = T.attention(*self.QKV, 2)
+        assert out._parents == () and out._backward_fn is None
+        # identical keys give uniform weights: every position averages v
+        np.testing.assert_array_equal(out.data, np.ones((2, 3, 4)))
+
+
 class TestLayerNorm:
     def _gamma_beta(self, d, gamma=1.0, beta=0.0):
         return Tensor(np.full(d, gamma)), Tensor(np.full(d, beta))
