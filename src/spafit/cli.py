@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint_with_plan, save_checkpoint
@@ -128,8 +129,11 @@ def cmd_eval(args, m: RunManifest) -> int:
 
 def cmd_compare(args, m: RunManifest) -> int:
     specs = [parse_plan_spec(text) for text in args.specs]
-    table = compare_configs(specs, m.model_config, m.task_spec, m.train_config,
-                            m.model_seed)
+    # Without a given rate each row trains at its own plan's default, not at
+    # the default of the manifest's [plan] spec.
+    cfg = (m.train_config if m.learning_rate_given
+           else replace(m.train_config, learning_rate=None))
+    table = compare_configs(specs, m.model_config, m.task_spec, cfg, m.model_seed)
     csv_text = table.to_csv()
     print(csv_text, end="")
     m.out_dir.mkdir(parents=True, exist_ok=True)

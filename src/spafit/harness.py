@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import metrics as M
 from . import tensor as T
 from .errors import InputError, TrainingDivergedError
 from .model import ModelConfig, ParamStore, build_model, model_forward
-from .optim import AdamW, TrainConfig
+from .optim import DEFAULT_LR_FULL_FT, DEFAULT_LR_PEFT, AdamW, TrainConfig
 from .plan import FinetunePlan, PlanKind, PlanSpec, attach_lora, compile_plan, count_trainable
 from .tasks import (
     PAIR_REGRESSION,
@@ -91,11 +91,20 @@ def _batch_loss(store: ParamStore, spec: TaskSpec, tokens: np.ndarray,
     return T.cross_entropy(logits, labels)
 
 
+def default_learning_rate(spec: PlanSpec) -> float:
+    """The rate a plan trains at when none is given: full fine-tuning takes
+    the smaller default, every parameter-efficient plan the larger."""
+    return DEFAULT_LR_FULL_FT if spec.kind is PlanKind.FULL_FT else DEFAULT_LR_PEFT
+
+
 def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
               train_records: list[DatasetRecord], val_records: list[DatasetRecord],
               cfg: TrainConfig) -> RunResult:
-    """Minibatch AdamW over the plan's trainables, then a validation pass."""
+    """Minibatch AdamW over the plan's trainables, then a validation pass.
+    A ``cfg`` without a learning rate trains at the plan's default."""
     _check_head(store, task_spec)
+    if cfg.learning_rate is None:
+        cfg = replace(cfg, learning_rate=default_learning_rate(plan.spec))
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamW(store.trainable_parameters(), cfg)
@@ -151,9 +160,11 @@ class ComparisonTable:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["plan", "trainable_params", "metric", "value", "best_peft"])
+        writer.writerow(["plan", "trainable_params", "learning_rate", "metric", "value",
+                         "best_peft"])
         for i, row in enumerate(self.rows):
-            writer.writerow([row.plan_spec, row.trainable_count, row.metric_name,
+            writer.writerow([row.plan_spec, row.trainable_count,
+                             row.hyperparameters["learning_rate"], row.metric_name,
                              f"{row.metric_value:.6f}",
                              "yes" if i == self.best_peft_index else ""])
         return buf.getvalue()
@@ -166,7 +177,8 @@ def compare_configs(specs: list[PlanSpec], model_cfg: ModelConfig, task_spec: Ta
     """Train every plan from the same base weights; one result row per spec.
 
     The best row among the parameter-efficient plans (full fine-tuning is
-    excluded from the comparison) is flagged.
+    excluded from the comparison) is flagged. A ``train_cfg`` without a
+    learning rate trains each plan at its own default.
     """
     if train_records is None or val_records is None:
         train_records, val_records = generate_task(task_spec)

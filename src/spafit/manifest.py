@@ -15,8 +15,9 @@ from pathlib import Path
 
 from .errors import ManifestError
 from .model import ModelConfig
-from .optim import DEFAULT_LR_FULL_FT, DEFAULT_LR_PEFT, TrainConfig
-from .plan import PlanKind, PlanSpec, parse_plan_spec
+from .harness import default_learning_rate
+from .optim import TrainConfig
+from .plan import PlanSpec, parse_plan_spec
 from .tasks import TaskSpec
 
 _MODEL_KEYS = {
@@ -63,6 +64,9 @@ class RunManifest:
     train_config: TrainConfig
     task_spec: TaskSpec
     out_dir: Path
+    # Whether the manifest or an override set the rate; if not,
+    # ``train_config`` holds the ``[plan]`` spec's default.
+    learning_rate_given: bool
 
 
 def _parse_sections(path: str | Path) -> dict[str, dict[str, str]]:
@@ -126,13 +130,12 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
 
     train_raw = _convert("train", sections.get("train", {}))
     betas = (train_raw.pop("beta1", 0.9), train_raw.pop("beta2", 0.999))
-    if "learning_rate" not in train_raw:
-        train_raw["learning_rate"] = (DEFAULT_LR_FULL_FT
-                                      if plan_spec.kind is PlanKind.FULL_FT
-                                      else DEFAULT_LR_PEFT)
     for key in ("learning_rate", "batch_size", "epochs"):
         if overrides.get(key) is not None:
             train_raw[key] = overrides[key]
+    learning_rate_given = "learning_rate" in train_raw
+    if not learning_rate_given:
+        train_raw["learning_rate"] = default_learning_rate(plan_spec)
     if overrides.get("seed") is not None:
         train_raw["seed"] = overrides["seed"]
     try:
@@ -145,4 +148,5 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
                    or sections.get("outputs", {}).get("out_dir", "runs"))
     return RunManifest(model_config=model_config, model_seed=model_seed,
                        plan_spec=plan_spec, train_config=train_config,
-                       task_spec=task_spec, out_dir=out_dir)
+                       task_spec=task_spec, out_dir=out_dir,
+                       learning_rate_given=learning_rate_given)

@@ -21,10 +21,16 @@ from .tensor import Tensor
 DEFAULT_LR_PEFT = 6e-5
 DEFAULT_LR_FULL_FT = 2e-5
 
+# Scalars per optimizer bucket. Small enough that a bucket and the step's
+# scratch stay below glibc's mmap threshold (see ``spafit.heap``) and in
+# cache; large enough that a desk-size model's trainables take a few buckets.
+_BUCKET = 1 << 15
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = DEFAULT_LR_PEFT
+    # None: each trained plan's default rate (see ``harness.default_learning_rate``).
+    learning_rate: float | None = DEFAULT_LR_PEFT
     batch_size: int = 16
     epochs: int = 10
     weight_decay: float = 0.01
@@ -33,7 +39,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if self.learning_rate is not None and not (
+                math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
@@ -50,15 +57,70 @@ class TrainConfig:
 
 
 class AdamW:
-    """Bias-corrected AdamW restricted to the given named tensors."""
+    """Bias-corrected AdamW restricted to the given named tensors.
+
+    The constructor packs the tensors, in ``params`` order, into buckets: runs
+    of consecutive tensors of at most ``_BUCKET`` scalars in all, each held in
+    one contiguous array (a larger tensor forms a bucket alone and keeps its
+    own array). Every parameter's ``.data`` becomes a view into its bucket,
+    and the moments are one array per bucket, so a step is one in-place pass
+    per bucket. Write into a registered ``.data`` in place; rebinding it
+    detaches the parameter, and ``step`` rejects that.
+    """
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
+        if cfg.learning_rate is None:
+            raise ConfigError("AdamW needs a learning rate; train_run resolves "
+                              "the plan's default")
+        owner: dict[int, str] = {}
+        for name, t in params.items():
+            if id(t) in owner:
+                raise OptimizerError(f"trainable parameters {owner[id(t)]!r} and "
+                                     f"{name!r} are the same tensor")
+            owner[id(t)] = name
         self.params = dict(params)
         self.cfg = cfg
-        # First and second moments per registered parameter, and the step count.
-        self.first = {name: np.zeros_like(t.data) for name, t in self.params.items()}
-        self.second = {name: np.zeros_like(t.data) for name, t in self.params.items()}
         self.step_count = 0
+        # Per-parameter views of the moments, by name.
+        self.first: dict[str, np.ndarray] = {}
+        self.second: dict[str, np.ndarray] = {}
+        # Per bucket: its (name, tensor, view) members, then the parameter,
+        # first-moment and second-moment arrays, flat.
+        self._buckets: list[tuple[list[tuple[str, Tensor, np.ndarray]],
+                                  np.ndarray, np.ndarray, np.ndarray]] = []
+        run: list[tuple[str, Tensor]] = []
+        size = 0
+        for name, t in self.params.items():
+            if run and size + t.data.size > _BUCKET:
+                self._pack(run)
+                run, size = [], 0
+            run.append((name, t))
+            size += t.data.size
+        if run:
+            self._pack(run)
+        largest = max((p.size for _, p, _, _ in self._buckets), default=0)
+        self._scratch = (np.empty(largest), np.empty(largest))
+
+    def _pack(self, run: list[tuple[str, Tensor]]) -> None:
+        """Make ``run`` one bucket: each tensor's data and moments become views
+        of three flat arrays. A lone tensor keeps its own array."""
+        if len(run) == 1:
+            t = run[0][1]
+            t.data = np.require(t.data, np.float64, ("C", "W"))
+            p = t.data.reshape(-1)
+        else:
+            p = np.concatenate([t.data.reshape(-1) for _, t in run])
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        members = []
+        offset = 0
+        for name, t in run:
+            shape, end = t.data.shape, offset + t.data.size
+            t.data = p[offset:end].reshape(shape)
+            self.first[name] = m[offset:end].reshape(shape)
+            self.second[name] = v[offset:end].reshape(shape)
+            members.append((name, t, t.data))
+            offset = end
+        self._buckets.append((members, p, m, v))
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -66,22 +128,44 @@ class AdamW:
 
     def step(self) -> None:
         """One update from the gradients currently held by the parameters."""
+        for members, _, _, _ in self._buckets:
+            for name, param, view in members:
+                if param.data is not view:
+                    raise OptimizerError(f"trainable parameter {name!r} was rebound "
+                                         "after registration; write into .data in place")
+                if param.grad is None:
+                    raise OptimizerError(f"missing gradient on trainable parameter {name!r}")
         cfg = self.cfg
         b1, b2 = cfg.betas
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
-        for name, param in self.params.items():
-            if param.grad is None:
-                raise OptimizerError(f"missing gradient on trainable parameter {name!r}")
-            g = param.grad
-            m = self.first[name]
-            v = self.second[name]
+        for members, p, m, v in self._buckets:
+            n = p.size
+            s1 = self._scratch[0][:n]
+            s2 = self._scratch[1][:n]
+            if len(members) == 1:
+                g = members[0][1].grad.reshape(-1)
+            else:
+                g = np.concatenate([param.grad.reshape(-1) for _, param, _ in members],
+                                   out=s1)
+            # In place, in the per-tensor expression order, so every value is
+            # bit-identical to m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+            # p = p - lr*((m/bias1) / (sqrt(v/bias2) + eps) + wd*p).
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=s2)
+            m += s2
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-            param.data = param.data - cfg.learning_rate * (
-                update + cfg.weight_decay * param.data)
+            np.multiply(g, 1.0 - b2, out=s2)
+            s2 *= g
+            v += s2
+            np.divide(v, bias2, out=s1)  # g is dead from here on
+            np.sqrt(s1, out=s1)
+            s1 += cfg.eps
+            np.divide(m, bias1, out=s2)
+            s2 /= s1
+            np.multiply(p, cfg.weight_decay, out=s1)
+            s1 += s2
+            s1 *= cfg.learning_rate
+            p -= s1

@@ -60,7 +60,8 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # A C-ordered copy: ``g`` may alias another node's gradient or be
-            # a transposed view, and the optimizer runs faster on C order.
+            # a transposed view. C order also makes ``grad.reshape(-1)`` a
+            # view, which the optimizer gathers into, or reads as, its bucket.
             self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g

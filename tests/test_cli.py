@@ -1,12 +1,14 @@
 """Manifest parsing and the command-line surface, including exit codes."""
 
 import argparse
+import csv
 import json
 
 import numpy as np
 import pytest
 
 import spafit.cli as cli
+import spafit.harness as harness
 from spafit import errors
 from spafit.cli import main
 from spafit.errors import ManifestError, SpafitError
@@ -406,10 +408,41 @@ class TestCompareCommand:
         assert code == 0
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
-        assert lines[0] == "plan,trainable_params,metric,value,best_peft"
+        assert lines[0] == "plan,trainable_params,learning_rate,metric,value,best_peft"
         assert len(lines) == 4
         saved = (tmp_path / "out" / "comparison.csv").read_text()
         assert saved == out
+
+    @staticmethod
+    def _rates(path):
+        with open(path, newline="") as fh:
+            return {row["plan"]: float(row["learning_rate"]) for row in csv.DictReader(fh)}
+
+    @pytest.mark.parametrize("flags, rate", [([], 2e-3), (["--lr", "5e-4"], 5e-4)])
+    def test_given_rate_applies_to_every_row(self, manifest_path, tmp_path, capsys,
+                                             flags, rate):
+        assert main(["compare", "--manifest", str(manifest_path), "--spec", "fullft",
+                     "--spec", "fullbitfit", "--epochs", "0", *flags]) == 0
+        rates = self._rates(tmp_path / "out" / "comparison.csv")
+        assert rates == {"fullft": rate, "fullbitfit": rate}
+
+    def test_each_row_trains_at_its_own_default(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "nolr.manifest"
+        path.write_text(MANIFEST.format(out_dir=tmp_path / "out").replace(
+            "learning_rate = 2e-3\n", ""))
+        trained = []
+
+        class Recording(harness.AdamW):
+            def __init__(self, params, cfg):
+                trained.append(cfg.learning_rate)
+                super().__init__(params, cfg)
+
+        monkeypatch.setattr(harness, "AdamW", Recording)
+        specs = ["fullft", "spafit:N1=0,N2=1,mode=II", "fullbitfit"]
+        assert main(["compare", "--manifest", str(path), "--epochs", "1",
+                     *[arg for spec in specs for arg in ("--spec", spec)]]) == 0
+        assert trained == [2e-5, 6e-5, 6e-5]
+        assert self._rates(tmp_path / "out" / "comparison.csv") == dict(zip(specs, trained))
 
 
 class TestAdapterCommands:

@@ -214,7 +214,7 @@ class TestCompareConfigs:
 
     def test_csv_shape(self, table):
         lines = table.to_csv().strip().splitlines()
-        assert lines[0] == "plan,trainable_params,metric,value,best_peft"
+        assert lines[0] == "plan,trainable_params,learning_rate,metric,value,best_peft"
         assert len(lines) == 1 + len(self.SPECS)
         assert sum(line.endswith(",yes") for line in lines[1:]) == 1
 

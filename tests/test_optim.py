@@ -1,17 +1,25 @@
-"""AdamW: the hand-derived scalar step, freeze invariance, selectivity."""
+"""AdamW: the hand-derived scalar step, the per-tensor oracle, bucket views,
+freeze invariance, selectivity."""
 
 import numpy as np
 import pytest
 
+import spafit.optim as optim
 import spafit.tensor as T
-from spafit.errors import OptimizerError
+from spafit.errors import ConfigError, OptimizerError
 from spafit.model import ModelConfig, build_model, model_forward
 from spafit.optim import AdamW, TrainConfig
 from spafit.plan import ParamStatus, attach_lora, compile_plan, parse_plan_spec
 from spafit.tensor import Tensor
 
+from test_plan import STANDARD_PLANS
+
 CFG = ModelConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
                   vocab_size=30, max_positions=16, lora_rank=2, lora_alpha=4)
+# The README demo dims.
+DESK = ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
+                   vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16,
+                   dropout_p=0.1)
 
 
 def hand_adamw_step(w, g, lr, b1, b2, eps, wd, m=0.0, v=0.0, t=1):
@@ -59,6 +67,127 @@ class TestScalarStep:
         opt = AdamW({"w": w}, TrainConfig(seed=0))
         with pytest.raises(OptimizerError, match="'w'"):
             opt.step()
+
+
+def reference_step(params, first, second, cfg, t):
+    """The per-tensor AdamW loop: the oracle the bucketed step must match
+    bit for bit. ``first``/``second`` map each name to its moment array."""
+    b1, b2 = cfg.betas
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for name, param in params.items():
+        g = param.grad
+        m = first[name]
+        v = second[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+        param.data = param.data - cfg.learning_rate * (
+            update + cfg.weight_decay * param.data)
+
+
+class ReferenceAdamW:
+    def __init__(self, params, cfg):
+        self.params, self.cfg, self.step_count = dict(params), cfg, 0
+        self.first = {name: np.zeros_like(t.data) for name, t in self.params.items()}
+        self.second = {name: np.zeros_like(t.data) for name, t in self.params.items()}
+
+    def zero_grad(self):
+        for t in self.params.values():
+            t.grad = None
+
+    def step(self):
+        self.step_count += 1
+        reference_step(self.params, self.first, self.second, self.cfg, self.step_count)
+
+
+def train_desk(spec, optimizer_cls, steps=16):
+    """``steps`` seeded desk-size train-mode steps (dropout 0.1) under ``spec``."""
+    store = build_model(DESK, seed=0)
+    attach_lora(store, compile_plan(parse_plan_spec(spec), DESK), seed=1)
+    opt = optimizer_cls(store.trainable_parameters(), TrainConfig(learning_rate=2e-3, seed=0))
+    rng = np.random.default_rng(3)
+    losses = []
+    for _ in range(steps):
+        tokens = rng.integers(0, DESK.vocab_size, size=(16, 11))
+        types = rng.integers(0, 2, size=(16, 11))
+        labels = rng.integers(0, 2, size=16)
+        loss = T.cross_entropy(model_forward(store, tokens, types, "train", rng), labels)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        losses.append(float(loss.data))
+    return store, opt, losses
+
+
+class TestBucketedStep:
+    @pytest.mark.parametrize("bucket", [1, 1 << 15, 10 ** 9])
+    @pytest.mark.parametrize("spec", STANDARD_PLANS)
+    def test_bit_identical_to_per_tensor_loop(self, monkeypatch, spec, bucket):
+        monkeypatch.setattr(optim, "_BUCKET", bucket)
+        ref_store, ref_opt, ref_losses = train_desk(spec, ReferenceAdamW)
+        store, opt, losses = train_desk(spec, AdamW)
+        if bucket == 1:
+            assert len(opt._buckets) == len(opt.params)
+        if bucket == 10 ** 9:
+            assert len(opt._buckets) == 1
+        assert losses == ref_losses
+        for path, t in ref_store.params.items():
+            assert np.array_equal(store.params[path].data, t.data), path
+        for target, pair in ref_store.lora.items():
+            assert np.array_equal(store.lora[target].down.data, pair.down.data), target
+            assert np.array_equal(store.lora[target].up.data, pair.up.data), target
+        for name in ref_opt.params:
+            assert np.array_equal(opt.first[name], ref_opt.first[name]), name
+            assert np.array_equal(opt.second[name], ref_opt.second[name]), name
+
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(0)
+        return {"a": Tensor(rng.standard_normal((3, 2)), requires_grad=True),
+                "b": Tensor(rng.standard_normal(4), requires_grad=True)}
+
+    @staticmethod
+    def _grads(params, rng):
+        for t in params.values():
+            t.grad = rng.standard_normal(t.data.shape)
+
+    def test_rebind_between_steps_raises(self):
+        params = self._pair()
+        opt = AdamW(params, TrainConfig(learning_rate=1e-2, seed=0))
+        rng = np.random.default_rng(1)
+        self._grads(params, rng)
+        opt.step()
+        params["b"].data = params["b"].data.copy()
+        self._grads(params, rng)
+        with pytest.raises(OptimizerError, match="'b'"):
+            opt.step()
+
+    def test_in_place_write_keeps_training(self):
+        params, ref_params = self._pair(), self._pair()
+        cfg = TrainConfig(learning_rate=1e-2, seed=0)
+        opt, ref = AdamW(params, cfg), ReferenceAdamW(ref_params, cfg)
+        for step in range(3):
+            for ps in (params, ref_params):
+                ps["a"].data[...] = 5.0 + step  # what swap_adapter does
+            for ps, o in ((params, opt), (ref_params, ref)):
+                self._grads(ps, np.random.default_rng(step))
+                o.step()
+            assert not np.any(params["a"].data == 5.0 + step)
+            for name in params:
+                assert np.array_equal(params[name].data, ref_params[name].data), name
+
+    def test_same_tensor_registered_twice_rejected(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(OptimizerError, match="'a' and 'b'"):
+            AdamW({"a": t, "b": t}, TrainConfig(seed=0))
+
+    def test_learning_rate_required(self):
+        cfg = TrainConfig(learning_rate=None, seed=0)
+        with pytest.raises(ConfigError, match="learning rate"):
+            AdamW({"w": Tensor(np.ones(1), requires_grad=True)}, cfg)
 
 
 def one_training_step(store, opt, rng):
