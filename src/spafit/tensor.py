@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import GraphError, ShapeError
+from .errors import ConfigError, GraphError, InputError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -317,11 +317,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match feature dim {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv_std
-    data = gamma.data * xhat + beta.data
+    # ``np.var``'s own steps (row sum / d, centre, square, row sum / d), with
+    # the centred rows kept for ``xhat`` and the squares' buffer reused for
+    # the output, so each row's mean is reduced once.
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    data = np.square(xhat)
+    inv_std = data.sum(axis=-1, keepdims=True) / d
+    inv_std += LAYER_NORM_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gamma.data, out=data)
+    data += beta.data
 
     def backward_fn(g):
         if gamma.requires_grad:
@@ -329,21 +336,36 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         if beta.requires_grad:
             beta._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
+            # dxhat - mean(dxhat) - xhat * mean(dxhat * xhat), scaled by inv_std
             dxhat = g * gamma.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv_std * term)
+            proj = dxhat * xhat
+            proj_mean = proj.sum(axis=-1, keepdims=True) / d
+            np.multiply(xhat, proj_mean, out=proj)
+            dxhat -= dxhat.sum(axis=-1, keepdims=True) / d
+            dxhat -= proj
+            dxhat *= inv_std
+            x._accumulate(dxhat)
 
     return _result(data, (x, gamma, beta), backward_fn)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF (erf form)."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward_fn(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        x._accumulate(g * (cdf + x.data * pdf))
+        # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)), built in one buffer
+        dx = x.data * -0.5
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x.data
+        dx += cdf
+        dx *= g
+        x._accumulate(dx)
 
     return _result(x.data * cdf, (x,), backward_fn)
 
@@ -364,14 +386,15 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     fixed seed reproduces it bit-exactly.
     """
     if mode not in ("train", "eval"):
-        raise ValueError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
+        raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
+        raise ConfigError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
     if mode == "eval" or p == 0.0:
         return x
     if rng is None:
-        raise ValueError("train-mode dropout requires a seeded generator")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+        raise InputError("train-mode dropout requires a seeded generator")
+    draws = rng.random(x.data.shape)
+    mask = np.divide(draws >= p, 1.0 - p, out=draws)
 
     def backward_fn(g):
         x._accumulate(g * mask)
@@ -415,19 +438,21 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"labels must lie in [0, {c}), got range "
+        raise InputError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    lse = np.log(exps.sum(axis=1))
     picked = shifted[np.arange(n), labels]
-    data = np.asarray((lse - picked).mean())
-    probs = exps / exps.sum(axis=1, keepdims=True)
+    probs = np.exp(shifted, out=shifted)
+    sums = probs.sum(axis=1, keepdims=True)
+    data = np.asarray((np.log(sums[:, 0]) - picked).mean())
+    probs /= sums
 
     def backward_fn(g):
         d = probs.copy()
         d[np.arange(n), labels] -= 1.0
-        logits._accumulate(float(g) * d / n)
+        d *= float(g)
+        d /= n
+        logits._accumulate(d)
 
     return _result(data, (logits,), backward_fn)
 

@@ -2,7 +2,8 @@
 
 The oracle perturbs every input element by +/-h and differences a scalar
 projection of the output; the autodiff path never sees the perturbed
-values, so the two routes are independent.
+values, so the two routes are independent. The fused and in-place ops are
+also checked bit for bit against the plain expressions they replaced.
 """
 
 import math
@@ -17,6 +18,8 @@ from spafit.optim import TrainConfig
 from spafit.plan import attach_lora, compile_plan, parse_plan_spec
 from spafit.tasks import TaskSpec, generate_task
 from spafit.tensor import Tensor
+
+from test_plan import STANDARD_PLANS
 
 H = 1e-5
 RTOL = 1e-6
@@ -211,31 +214,179 @@ def test_attention_matches_primitive_chain_bitwise(rng, shape):
         np.testing.assert_array_equal(fused, primitive)
 
 
-def test_desk_training_matches_primitive_chain_bitwise(monkeypatch):
-    """16 train steps of the stratified plan at the README demo dims, with
-    dropout, end on the same bits whichever attention the encoder runs."""
-    cfg = ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
-                      vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16,
-                      dropout_p=0.1)
+def reference_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``layer_norm`` as ``np.mean``/``np.var`` and whole-array expressions."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + T.LAYER_NORM_EPS)
+    xhat = (x.data - mu) * inv_std
+    d = x.data.shape[-1]
+
+    def backward_fn(g):
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        if beta.requires_grad:
+            beta._accumulate(g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(inv_std * term)
+
+    return T._result(gamma.data * xhat + beta.data, (x, gamma, beta), backward_fn)
+
+
+def reference_gelu(x: Tensor) -> Tensor:
+    cdf = 0.5 * (1.0 + T.erf(x.data * T._INV_SQRT2))
+
+    def backward_fn(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * T._INV_SQRT_2PI
+        x._accumulate(g * (cdf + x.data * pdf))
+
+    return T._result(x.data * cdf, (x,), backward_fn)
+
+
+def reference_dropout(x: Tensor, p: float, mode: str,
+                      rng: np.random.Generator | None = None) -> Tensor:
+    if mode == "eval" or p == 0.0:
+        return x
+    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+
+    def backward_fn(g):
+        x._accumulate(g * mask)
+
+    return T._result(x.data * mask, (x,), backward_fn)
+
+
+def reference_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    n = logits.data.shape[0]
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    lse = np.log(exps.sum(axis=1))
+    picked = shifted[np.arange(n), labels]
+    probs = exps / exps.sum(axis=1, keepdims=True)
+
+    def backward_fn(g):
+        d = probs.copy()
+        d[np.arange(n), labels] -= 1.0
+        logits._accumulate(float(g) * d / n)
+
+    return T._result(np.asarray((lse - picked).mean()), (logits,), backward_fn)
+
+
+ROW_SHAPES = [(16, 11, 32), (64, 11, 32), (16, 8, 256), (5, 7), (3, 4, 33), (1, 32)]
+# x only, gamma and beta only, all three
+LAYER_NORM_GRADS = [(True, False, False), (False, True, True), (True, True, True)]
+
+
+def _row_op_cases(rng, shape):
+    """``(op name, call, arrays, requires_grad)`` for each rewritten op on
+    ``shape``: ``call(op, tensors)`` applies the op, or its reference, to
+    tensors made from ``arrays`` with those ``requires_grad`` flags."""
+    d = shape[-1]
+    x = 3.0 * rng.standard_normal(shape) + 1.0
+    labels = rng.integers(0, d, size=x.size // d)
+    affine = [rng.standard_normal(d), rng.standard_normal(d)]
+    cases = [("layer_norm", lambda op, ts: op(*ts), [x] + affine, flags)
+             for flags in LAYER_NORM_GRADS]
+    cases += [
+        ("gelu", lambda op, ts: op(ts[0]), [x], (True,)),
+        ("dropout", lambda op, ts: op(ts[0], 0.1, "train", np.random.default_rng(5)),
+         [x], (True,)),
+        ("cross_entropy", lambda op, ts: op(T.reshape(ts[0], (-1, d)), labels), [x], (True,)),
+    ]
+    return cases
+
+
+REFERENCES = {"layer_norm": reference_layer_norm, "gelu": reference_gelu,
+              "dropout": reference_dropout, "cross_entropy": reference_cross_entropy}
+
+
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+def test_row_ops_match_reference_bitwise(rng, shape):
+    """Value and every input gradient of each in-place row-wise op equal the
+    plain expressions', with and without a gradient on each input."""
+    w = rng.standard_normal(shape)
+    for name, call, arrays, flags in _row_op_cases(rng, shape):
+        runs = []
+        for op in (getattr(T, name), REFERENCES[name]):
+            ts = [Tensor(a.copy(), requires_grad=f) for a, f in zip(arrays, flags)]
+            out = call(op, ts)
+            # an upstream gradient other than ones
+            loss = T.scale(out, 0.7) if out.data.ndim == 0 else weighted_sum(out, w)
+            loss.backward()
+            runs.append([out.data] + [t.grad for t in ts])
+        for i, (new, old) in enumerate(zip(*runs)):
+            if old is None:
+                assert new is None, (name, flags, i)
+            else:
+                np.testing.assert_array_equal(new, old, err_msg=f"{name} {flags} {i}")
+
+
+@pytest.mark.parametrize("shape", [(16, 11, 32), (5, 7)])
+def test_row_op_backward_leaves_saved_state_intact(rng, shape):
+    """A backward pass run twice on one node deposits twice the first result
+    and changes neither the node's value nor the upstream gradient, so no
+    in-place pass overwrites something a later pass reads."""
+    for name, call, arrays, flags in _row_op_cases(rng, shape):
+        ts = [Tensor(a.copy(), requires_grad=f) for a, f in zip(arrays, flags)]
+        out = call(getattr(T, name), ts)
+        g = rng.standard_normal(out.data.shape)
+        value, upstream = out.data.copy(), g.copy()
+        out._backward_fn(g)
+        first = [None if t.grad is None else t.grad.copy() for t in out._parents]
+        out._backward_fn(g)
+        for t, grad in zip(out._parents, first):
+            if t.requires_grad:
+                np.testing.assert_array_equal(t.grad, grad + grad, err_msg=f"{name} {flags}")
+            else:
+                assert t.grad is None, (name, flags)
+        np.testing.assert_array_equal(out.data, value, err_msg=name)
+        np.testing.assert_array_equal(g, upstream, err_msg=name)
+
+
+DESK_CFG = ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
+                       vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16,
+                       dropout_p=0.1)
+
+
+def desk_training_run(spec: str):
+    """16 train steps at the README demo dims, with dropout: the epoch losses
+    and every parameter and factor at the end."""
     task = TaskSpec(kind="pair_classification", vocab_size=40, seq_len=11,
                     train_size=256, val_size=1, seed=0)
     train, val = generate_task(task)
-    plan = compile_plan(parse_plan_spec("spafit:N1=1,N2=2,mode=II"), cfg)
+    plan = compile_plan(parse_plan_spec(spec), DESK_CFG)
+    store = attach_lora(build_model(DESK_CFG, seed=0), plan, seed=0)
+    result = train_run(store, plan, task, train, val,
+                       TrainConfig(learning_rate=2e-3, epochs=1, seed=1))
+    params = store.params | store.factors()
+    return result.epoch_losses, {name: t.data for name, t in params.items()}
 
-    def trained():
-        store = attach_lora(build_model(cfg, seed=0), plan, seed=0)
-        result = train_run(store, plan, task, train, val,
-                           TrainConfig(learning_rate=2e-3, epochs=1, seed=1))
-        params = store.params | store.factors()
-        return result.epoch_losses, {name: t.data for name, t in params.items()}
 
-    fused = trained()
+def assert_same_training(new, old):
+    assert new[0] == old[0]
+    assert new[1].keys() == old[1].keys()
+    for name, data in new[1].items():
+        np.testing.assert_array_equal(data, old[1][name], err_msg=name)
+
+
+def test_desk_training_matches_primitive_chain_bitwise(monkeypatch):
+    """The stratified plan ends on the same bits whichever attention the
+    encoder runs."""
+    fused = desk_training_run("spafit:N1=1,N2=2,mode=II")
     monkeypatch.setattr(T, "attention", primitive_attention)
-    primitive = trained()
-    assert fused[0] == primitive[0]
-    assert fused[1].keys() == primitive[1].keys()
-    for name, data in fused[1].items():
-        np.testing.assert_array_equal(data, primitive[1][name], err_msg=name)
+    assert_same_training(fused, desk_training_run("spafit:N1=1,N2=2,mode=II"))
+
+
+@pytest.mark.parametrize("spec", STANDARD_PLANS)
+def test_desk_training_matches_reference_row_ops_bitwise(monkeypatch, spec):
+    """Every standard plan ends on the same bits with the plain expressions
+    in place of the in-place layer norm, GELU, dropout and cross-entropy."""
+    in_place = desk_training_run(spec)
+    for name, reference in REFERENCES.items():
+        monkeypatch.setattr(T, name, reference)
+    assert_same_training(in_place, desk_training_run(spec))
 
 
 def test_two_layer_mlp_gradients(rng):

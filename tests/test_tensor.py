@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spafit.tensor as T
-from spafit.errors import GraphError, ShapeError
+from spafit.errors import GraphError, ShapeError, SpafitError
 from spafit.tensor import Tensor
 
 
@@ -153,6 +153,16 @@ class TestDropout:
         with pytest.raises(ValueError):
             T.dropout(Tensor([1.0]), 1.0, "train", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("p,mode,rng", [
+        (0.1, "training", np.random.default_rng(0)),
+        (-0.1, "train", np.random.default_rng(0)),
+        (0.1, "train", None),
+    ])
+    def test_bad_arguments_raise_typed_value_errors(self, p, mode, rng):
+        with pytest.raises(SpafitError) as info:
+            T.dropout(Tensor([1.0]), p, mode, rng)
+        assert isinstance(info.value, ValueError)
+
     def test_same_seed_same_mask(self):
         x = Tensor(np.ones(1000))
         a = T.dropout(x, 0.3, "train", np.random.default_rng(9)).data
@@ -268,6 +278,12 @@ class TestLosses:
         probs = e / e.sum(axis=1, keepdims=True)
         probs[np.arange(3), labels] -= 1.0
         np.testing.assert_allclose(logits.grad, probs / 3.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("labels", [[0, 4], [-1, 0]])
+    def test_cross_entropy_out_of_range_labels_raise_typed_value_error(self, labels):
+        with pytest.raises(SpafitError) as info:
+            T.cross_entropy(Tensor(np.zeros((2, 4))), np.array(labels))
+        assert isinstance(info.value, ValueError)
 
     def test_mse(self):
         pred = Tensor([[1.0], [3.0]], requires_grad=True)
