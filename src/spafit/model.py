@@ -216,25 +216,23 @@ def _linear(store: ParamStore, prefix: str, x: Tensor) -> Tensor:
     return T.linear(x, w, b, pair.down, pair.up, pair.scaling)
 
 
-def _self_attention(store: ParamStore, layer: int, x: Tensor) -> Tensor:
+def _self_attention(store: ParamStore, layer: int, x: Tensor, context: Tensor) -> Tensor:
     base = f"encoder.layer.{layer}.attention.self"
     q = _linear(store, f"{base}.query", x)
-    k = _linear(store, f"{base}.key", x)
-    v = _linear(store, f"{base}.value", x)
+    k = _linear(store, f"{base}.key", context)
+    v = _linear(store, f"{base}.value", context)
     return T.attention(q, k, v, store.config.num_heads)
 
 
-def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = "eval",
-                          rng: np.random.Generator | None = None) -> Tensor:
-    """One encoder layer; input and output are [batch, seq, hidden]."""
-    cfg = store.config
-    if x.data.ndim != 3 or x.data.shape[-1] != cfg.hidden_size:
-        raise ShapeError(f"encoder layer expects [batch, seq, {cfg.hidden_size}], "
-                         f"got {x.data.shape}")
-    p = cfg.dropout_p
+def _layer(store: ParamStore, layer: int, x: Tensor, context: Tensor, mode: str,
+           rng: np.random.Generator | None) -> Tensor:
+    """One encoder layer over the query and residual stream ``x``
+    ([batch, q_len, hidden]), with keys and values from every position of
+    ``context`` ([batch, seq, hidden]); the output has ``x``'s shape."""
+    p = store.config.dropout_p
     base = f"encoder.layer.{layer}"
 
-    attn = _self_attention(store, layer, x)
+    attn = _self_attention(store, layer, x, context)
     attn = T.dropout(attn, p, mode, rng)
     attn = _linear(store, f"{base}.attention.output.dense", attn)
     x = T.layer_norm(attn + x,
@@ -250,12 +248,23 @@ def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = 
     return T.dropout(x, p, mode, rng)
 
 
+def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = "eval",
+                          rng: np.random.Generator | None = None) -> Tensor:
+    """One encoder layer; input and output are [batch, seq, hidden]."""
+    cfg = store.config
+    if x.data.ndim != 3 or x.data.shape[-1] != cfg.hidden_size:
+        raise ShapeError(f"encoder layer expects [batch, seq, {cfg.hidden_size}], "
+                         f"got {x.data.shape}")
+    return _layer(store, layer, x, x, mode, rng)
+
+
 def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray,
                   mode: str = "eval", rng: np.random.Generator | None = None) -> Tensor:
     """Embeddings -> encoder stack -> pooled first token -> task head logits.
 
-    ``token_ids`` and ``type_ids`` are [batch, seq] int arrays; the returned
-    logits are [batch, num_labels].
+    ``token_ids`` and ``type_ids`` are non-empty [batch, seq] integer arrays;
+    the returned logits are [batch, num_labels]. In eval mode the last layer
+    computes position 0 alone, the one position the head reads.
     """
     cfg = store.config
     token_ids = np.asarray(token_ids)
@@ -265,7 +274,13 @@ def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray
     if type_ids.shape != token_ids.shape:
         raise InputError(f"type_ids shape {type_ids.shape} does not match "
                          f"token_ids {token_ids.shape}")
+    if token_ids.dtype.kind not in "iu" or type_ids.dtype.kind not in "iu":
+        raise InputError(f"token_ids and type_ids must be integer arrays, got "
+                         f"{token_ids.dtype} and {type_ids.dtype}")
     batch, seq = token_ids.shape
+    if batch == 0 or seq == 0:
+        raise InputError(f"token_ids must hold at least one example and one position, "
+                         f"got shape {token_ids.shape}")
     if seq > cfg.max_positions:
         raise InputError(f"sequence length {seq} exceeds max_positions {cfg.max_positions}")
     if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
@@ -284,7 +299,13 @@ def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray
     x = T.dropout(x, cfg.dropout_p, mode, rng)
 
     for layer in range(cfg.num_layers):
-        x = encoder_layer_forward(store, layer, x, mode, rng)
+        if mode == "eval" and layer == cfg.num_layers - 1:
+            # Only position 0 reaches the head, so the last layer's queries,
+            # residual stream and feed-forward run there alone; its keys and
+            # values still come from every position.
+            x = _layer(store, layer, T.first_position(x), x, mode, rng)
+        else:
+            x = encoder_layer_forward(store, layer, x, mode, rng)
 
     pooled = T.tanh(_linear(store, "pooler.dense", T.first_token(x)))
     return _linear(store, "classifier", pooled)

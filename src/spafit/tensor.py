@@ -255,19 +255,22 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over ``[batch, seq, hidden]``
+    """Multi-head scaled dot-product attention of ``[batch, q_len, hidden]``
+    query projections over ``[batch, seq, hidden]`` key and value
     projections: split the heads, ``softmax((q_h @ k_h.T) / sqrt(hd)) @ v_h``
-    per head, merge the heads.
+    per head, merge the heads. ``q_len`` may differ from ``seq``.
 
     One node in place of the reshape/transpose/matmul/scale/softmax chain,
     with the same numpy operations on the same operand layouts, so value and
-    gradients are bit-identical to that chain.
+    gradients are bit-identical to that chain. The forward works in place in
+    its scores buffer and writes the head merge straight into its output.
     """
-    shape = q.data.shape
-    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
-        raise ShapeError(f"attention needs equal 3-D q, k, v, got {shape}, "
-                         f"{k.data.shape}, {v.data.shape}")
-    batch, seq, hidden = shape
+    q_shape, kv_shape = q.data.shape, k.data.shape
+    if (len(q_shape) != 3 or len(kv_shape) != 3 or v.data.shape != kv_shape
+            or q_shape[0] != kv_shape[0] or q_shape[2] != kv_shape[2]):
+        raise ShapeError(f"attention needs 3-D q, k, v with equal batch and hidden sizes "
+                         f"and equal k, v, got {q_shape}, {kv_shape}, {v.data.shape}")
+    batch, q_len, hidden = q_shape
     if num_heads < 1 or hidden % num_heads != 0:
         raise ShapeError(f"attention hidden size {hidden} not divisible by "
                          f"num_heads {num_heads}")
@@ -275,34 +278,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     c = 1.0 / math.sqrt(hd)
 
     def split_heads(t: np.ndarray) -> np.ndarray:
-        return np.transpose(t.reshape(batch, seq, num_heads, hd), (0, 2, 1, 3))
+        return np.transpose(t.reshape(t.shape[:2] + (num_heads, hd)), (0, 2, 1, 3))
 
     qh, kh, vh = split_heads(q.data), split_heads(k.data), split_heads(v.data)
     kt = np.transpose(kh, (0, 1, 3, 2))
-    scores = (qh @ kt) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    context = s @ vh
+    s = qh @ kt
+    s *= c
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    merged = np.empty((batch, q_len, num_heads, hd))
+    np.matmul(s, vh, out=np.transpose(merged, (0, 2, 1, 3)))
 
     def backward_fn(g):
         # C order, as the chain's gradient copies handed it to its matmuls.
-        gc = np.ascontiguousarray(np.transpose(g.reshape(batch, seq, num_heads, hd),
+        gc = np.ascontiguousarray(np.transpose(g.reshape(batch, q_len, num_heads, hd),
                                                (0, 2, 1, 3)))
         if q.requires_grad or k.requires_grad:
             gs = gc @ np.swapaxes(vh, -1, -2)
             gs = (s * (gs - (gs * s).sum(axis=-1, keepdims=True))) * c
             if q.requires_grad:
                 gq = gs @ np.swapaxes(kt, -1, -2)
-                q._accumulate(np.transpose(gq, (0, 2, 1, 3)).reshape(shape))
+                q._accumulate(np.transpose(gq, (0, 2, 1, 3)).reshape(q_shape))
             if k.requires_grad:
                 gkt = np.swapaxes(qh, -1, -2) @ gs
-                k._accumulate(np.transpose(gkt, (0, 3, 1, 2)).reshape(shape))
+                k._accumulate(np.transpose(gkt, (0, 3, 1, 2)).reshape(kv_shape))
         if v.requires_grad:
             gv = np.swapaxes(s, -1, -2) @ gc
-            v._accumulate(np.transpose(gv, (0, 2, 1, 3)).reshape(shape))
+            v._accumulate(np.transpose(gv, (0, 2, 1, 3)).reshape(kv_shape))
 
-    return _result(np.transpose(context, (0, 2, 1, 3)).reshape(shape), (q, k, v),
-                   backward_fn)
+    return _result(merged.reshape(q_shape), (q, k, v), backward_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -415,17 +420,26 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(data, (table,), backward_fn)
 
 
-def first_token(x: Tensor) -> Tensor:
-    """Select position 0 of a [batch, seq, features] tensor."""
+def _select_position(x: Tensor, index) -> Tensor:
     if x.data.ndim != 3:
-        raise ShapeError(f"first_token expects a 3-D tensor, got {x.data.shape}")
+        raise ShapeError(f"position selection expects a 3-D tensor, got {x.data.shape}")
 
     def backward_fn(g):
         acc = np.zeros_like(x.data)
-        acc[:, 0, :] = g
+        acc[:, index] = g
         x._accumulate(acc)
 
-    return _result(x.data[:, 0, :], (x,), backward_fn)
+    return _result(x.data[:, index], (x,), backward_fn)
+
+
+def first_token(x: Tensor) -> Tensor:
+    """Select position 0 of a [batch, seq, features] tensor: [batch, features]."""
+    return _select_position(x, 0)
+
+
+def first_position(x: Tensor) -> Tensor:
+    """Position 0 of a [batch, seq, features] tensor, kept as [batch, 1, features]."""
+    return _select_position(x, slice(0, 1))
 
 
 # -- losses ------------------------------------------------------------------
@@ -435,6 +449,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy of [batch, classes] logits vs int labels."""
     labels = np.asarray(labels)
     n, c = logits.data.shape
+    if n == 0:
+        raise InputError("cross_entropy needs at least one example, got an empty batch")
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= c:

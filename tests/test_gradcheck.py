@@ -184,25 +184,29 @@ def test_attention_gradients(rng, frozen):
 
 def primitive_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """The 13-node chain ``attention`` replaced in the encoder: head split,
-    score, scale, softmax, context and head merge from the primitive ops."""
-    batch, seq, hidden = q.shape
+    score, scale, softmax, context and head merge from the primitive ops;
+    ``q`` may be shorter than ``k`` and ``v``."""
+    batch, q_len, hidden = q.shape
     hd = hidden // num_heads
 
     def split_heads(t: Tensor) -> Tensor:
-        return T.transpose(T.reshape(t, (batch, seq, num_heads, hd)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(t, (batch, t.shape[1], num_heads, hd)), (0, 2, 1, 3))
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
     scores = T.matmul(q, T.transpose(k)) * (1.0 / math.sqrt(hd))
     probs = T.softmax(scores)
     context = T.matmul(probs, v)
-    return T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, seq, hidden))
+    return T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, q_len, hidden))
 
 
-@pytest.mark.parametrize("shape", [(2, 5, 8), (2, 5, 12)])
+@pytest.mark.parametrize("shape", [(2, 5, 8), (2, 5, 12), (2, 1, 12), (2, 3, 12)])
 def test_attention_matches_primitive_chain_bitwise(rng, shape):
     """Two heads; at hidden 12 the scale 1/sqrt(6) is inexact, so the order
-    of scale and softmax backward shows in the bits."""
-    arrays = [rng.standard_normal(shape) for _ in range(3)]
+    of scale and softmax backward shows in the bits. ``shape`` is q's; k and
+    v hold 5 positions, so queries of length 1 and 3 attend to more keys, as
+    position 0 alone does in the last eval-mode layer."""
+    kv_shape = (shape[0], 5, shape[2])
+    arrays = [rng.standard_normal(s) for s in (shape, kv_shape, kv_shape)]
     w = rng.standard_normal(shape)
     runs = []
     for fn in (T.attention, primitive_attention):
@@ -210,6 +214,7 @@ def test_attention_matches_primitive_chain_bitwise(rng, shape):
         out = fn(*ts, 2)
         weighted_sum(out, w).backward()
         runs.append([out.data] + [t.grad for t in ts])
+    assert runs[0][0].shape == shape
     for fused, primitive in zip(*runs):
         np.testing.assert_array_equal(fused, primitive)
 

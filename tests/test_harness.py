@@ -154,8 +154,9 @@ class TestPredict:
         _, val = generate_task(self.DESK_TASK)
         tokens, types = encode_batch(self.DESK_TASK, val)
         logits = model_forward(store, tokens, types, mode="eval")
-        assert sum(closures) == 58  # the same forward with its graph (106 with
-        # the 13-node primitive attention chain)
+        assert sum(closures) == 59  # the same forward with its graph (107 with
+        # the 13-node primitive attention chain); the one past 58 cuts the
+        # last layer's query stream to position 0
         closures.clear()
         preds = predict(store, self.DESK_TASK, val)
         assert closures and sum(closures) == 0

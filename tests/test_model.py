@@ -1,5 +1,7 @@
 """Encoder model: parameter census, forward semantics, determinism."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from spafit.model import (
 from spafit.optim import TrainConfig
 from spafit.plan import attach_lora, compile_plan, parse_plan_spec
 from spafit.tensor import LAYER_NORM_EPS, Tensor
+
+from test_plan import STANDARD_PLANS
 
 BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
                          ffn_size=4096, vocab_size=28996, max_positions=512,
@@ -235,6 +239,16 @@ class TestModelForward:
         with pytest.raises(InputError, match="token id"):
             model_forward(store, tokens, np.zeros((1, 4), np.int64), mode="eval")
 
+    @pytest.mark.parametrize("tokens,types", [
+        (np.zeros((0, 4), np.int64), np.zeros((0, 4), np.int64)),
+        (np.zeros((2, 0), np.int64), np.zeros((2, 0), np.int64)),
+        (np.zeros((2, 4)), np.zeros((2, 4), np.int64)),
+        (np.zeros((2, 4), np.int64), np.zeros((2, 4))),
+    ], ids=["empty-batch", "empty-seq", "float-tokens", "float-types"])
+    def test_unusable_ids_rejected(self, tokens, types):
+        with pytest.raises(InputError):
+            model_forward(build_model(TOY, seed=2), tokens, types, mode="eval")
+
     def test_too_long_sequence_rejected(self):
         store = build_model(TOY, seed=2)
         tokens, types = self._inputs(seq=17)
@@ -274,6 +288,77 @@ class TestModelForward:
                 t.grad = None
         untouched = [p for p, ok in touched.items() if not ok]
         assert not untouched, f"no gradient ever reached: {untouched}"
+
+
+DESK = ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
+                   vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16)
+
+
+def full_width_logits(store, tokens: np.ndarray, types: np.ndarray) -> np.ndarray:
+    """The eval forward with every layer at every position: embeddings,
+    ``encoder_layer_forward`` per layer, ``first_token``, pooler and head."""
+    batch, seq = tokens.shape
+    p = store.params
+    x = T.layer_norm(T.embedding(p["embeddings.word_embeddings.weight"], tokens)
+                     + T.embedding(p["embeddings.position_embeddings.weight"],
+                                   np.broadcast_to(np.arange(seq), (batch, seq)))
+                     + T.embedding(p["embeddings.token_type_embeddings.weight"], types),
+                     p["embeddings.LayerNorm.weight"], p["embeddings.LayerNorm.bias"])
+    for layer in range(store.config.num_layers):
+        x = encoder_layer_forward(store, layer, x, mode="eval")
+    pooled = T.tanh(_linear(store, "pooler.dense", T.first_token(x)))
+    return _linear(store, "classifier", pooled).data
+
+
+class TestPooledEvalForward:
+    """In eval mode the last layer computes position 0 alone. Fewer rows per
+    GEMM may round differently, so the logits match the full-width forward
+    within 1e-12, not bit for bit."""
+
+    @staticmethod
+    def moved_store(spec: str):
+        """A desk store under ``spec`` with every tensor, LoRA factors
+        included, moved off its init so each path shows in the logits."""
+        store = attach_lora(build_model(DESK, seed=0), compile_plan(parse_plan_spec(spec), DESK),
+                            seed=0)
+        rng = np.random.default_rng(5)
+        for t in (store.params | store.factors()).values():
+            t.data += 0.05 * rng.standard_normal(t.data.shape)
+        return store
+
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no_grad"])
+    @pytest.mark.parametrize("spec", STANDARD_PLANS)
+    def test_logits_match_full_width_forward(self, spec, graph):
+        store = self.moved_store(spec)
+        rng = np.random.default_rng(1)
+        for batch in (1, 2, 16, 64):
+            for seq in (1, 5, 11):
+                tokens = rng.integers(0, DESK.vocab_size, size=(batch, seq))
+                types = rng.integers(0, DESK.type_vocab_size, size=(batch, seq))
+                with T.no_grad() if not graph else contextlib.nullcontext():
+                    got = model_forward(store, tokens, types, mode="eval").data
+                want = full_width_logits(store, tokens, types)
+                assert got.shape == want.shape == (batch, DESK.num_labels)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                           err_msg=f"batch {batch}, seq {seq}")
+                np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_last_layer_row_ops_see_one_position_in_eval_only(self, monkeypatch, mode):
+        """Embedding LayerNorm, then two LayerNorms and one GELU per layer."""
+        seen = {"layer_norm": [], "gelu": []}
+        for name, log in seen.items():
+            def recording(x, *args, op=getattr(T, name), log=log):
+                log.append(x.data.shape[1])
+                return op(x, *args)
+            monkeypatch.setattr(T, name, recording)
+        rng = np.random.default_rng(2)
+        tokens = rng.integers(0, DESK.vocab_size, size=(3, 7))
+        model_forward(build_model(DESK, seed=0), tokens, np.zeros_like(tokens), mode=mode,
+                      rng=np.random.default_rng(0))
+        last = 1 if mode == "eval" else 7
+        assert seen["layer_norm"] == [7] * 7 + [last] * 2
+        assert seen["gelu"] == [7] * 3 + [last]
 
 
 def reachable(loss: Tensor) -> list[Tensor]:

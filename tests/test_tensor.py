@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spafit.tensor as T
-from spafit.errors import GraphError, ShapeError, SpafitError
+from spafit.errors import GraphError, InputError, ShapeError, SpafitError
 from spafit.tensor import Tensor
 
 
@@ -284,6 +284,10 @@ class TestLosses:
         with pytest.raises(SpafitError) as info:
             T.cross_entropy(Tensor(np.zeros((2, 4))), np.array(labels))
         assert isinstance(info.value, ValueError)
+
+    def test_cross_entropy_empty_batch_raises_input_error(self):
+        with pytest.raises(InputError, match="empty batch"):
+            T.cross_entropy(Tensor(np.zeros((0, 4))), np.zeros(0, np.int64))
 
     def test_mse(self):
         pred = Tensor([[1.0], [3.0]], requires_grad=True)
