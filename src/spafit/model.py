@@ -228,33 +228,43 @@ def _layer(store: ParamStore, layer: int, x: Tensor, context: Tensor, mode: str,
            rng: np.random.Generator | None) -> Tensor:
     """One encoder layer over the query and residual stream ``x``
     ([batch, q_len, hidden]), with keys and values from every position of
-    ``context`` ([batch, seq, hidden]); the output has ``x``'s shape."""
+    ``context`` ([batch, seq, hidden]); the output has ``x``'s shape. Each
+    train-mode dropout draws its mask at ``context``'s shape and keeps
+    ``x``'s leading positions, so a cut ``x`` consumes the generator as a
+    full-width one does."""
     p = store.config.dropout_p
     base = f"encoder.layer.{layer}"
+    draw = context.data.shape
 
     attn = _self_attention(store, layer, x, context)
-    attn = T.dropout(attn, p, mode, rng)
+    attn = T.dropout(attn, p, mode, rng, draw)
     attn = _linear(store, f"{base}.attention.output.dense", attn)
     x = T.layer_norm(attn + x,
                      store.params[f"{base}.attention.output.LayerNorm.weight"],
                      store.params[f"{base}.attention.output.LayerNorm.bias"])
-    x = T.dropout(x, p, mode, rng)
+    x = T.dropout(x, p, mode, rng, draw)
 
     hidden = T.gelu(_linear(store, f"{base}.intermediate.dense", x))
     out = _linear(store, f"{base}.output.dense", hidden)
     x = T.layer_norm(out + x,
                      store.params[f"{base}.output.LayerNorm.weight"],
                      store.params[f"{base}.output.LayerNorm.bias"])
-    return T.dropout(x, p, mode, rng)
+    return T.dropout(x, p, mode, rng, draw)
 
 
 def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = "eval",
                           rng: np.random.Generator | None = None) -> Tensor:
-    """One encoder layer; input and output are [batch, seq, hidden]."""
+    """One encoder layer; input and output are [batch, seq, hidden] with
+    ``seq`` >= 1, and ``layer`` is a 0-based index below ``num_layers``."""
     cfg = store.config
     if x.data.ndim != 3 or x.data.shape[-1] != cfg.hidden_size:
         raise ShapeError(f"encoder layer expects [batch, seq, {cfg.hidden_size}], "
                          f"got {x.data.shape}")
+    if x.data.shape[1] == 0:
+        raise InputError(f"encoder layer needs at least one position, got {x.data.shape}")
+    if not isinstance(layer, (int, np.integer)) or not 0 <= layer < cfg.num_layers:
+        raise InputError(f"layer index must be an int in [0, {cfg.num_layers}), "
+                         f"got {layer!r}")
     return _layer(store, layer, x, x, mode, rng)
 
 
@@ -263,8 +273,9 @@ def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray
     """Embeddings -> encoder stack -> pooled first token -> task head logits.
 
     ``token_ids`` and ``type_ids`` are non-empty [batch, seq] integer arrays;
-    the returned logits are [batch, num_labels]. In eval mode the last layer
-    computes position 0 alone, the one position the head reads.
+    the returned logits are [batch, num_labels]. In both modes the last
+    layer computes position 0 alone, the one position the head reads; its
+    keys and values still come from every position.
     """
     cfg = store.config
     token_ids = np.asarray(token_ids)
@@ -299,7 +310,7 @@ def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray
     x = T.dropout(x, cfg.dropout_p, mode, rng)
 
     for layer in range(cfg.num_layers):
-        if mode == "eval" and layer == cfg.num_layers - 1:
+        if layer == cfg.num_layers - 1:
             # Only position 0 reaches the head, so the last layer's queries,
             # residual stream and feed-forward run there alone; its keys and
             # values still come from every position.

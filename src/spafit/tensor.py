@@ -384,11 +384,15 @@ def tanh(x: Tensor) -> Tensor:
     return _result(t, (x,), backward_fn)
 
 
-def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None,
+            draw_shape: tuple[int, ...] | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale survivors by 1/(1-p).
 
     Eval mode (and p == 0) is the identity. The mask comes from ``rng`` so a
-    fixed seed reproduces it bit-exactly.
+    fixed seed reproduces it bit-exactly. With ``draw_shape`` the uniforms
+    are drawn at that larger shape and the mask keeps its leading corner of
+    ``x``'s shape, so a tensor cut from a wider one gets the mask values, and
+    leaves the generator in the state, that the wider one would.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
@@ -398,7 +402,13 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
         return x
     if rng is None:
         raise InputError("train-mode dropout requires a seeded generator")
-    draws = rng.random(x.data.shape)
+    shape = x.data.shape
+    if draw_shape is not None and (len(draw_shape) != len(shape)
+                                   or any(d < n for d, n in zip(draw_shape, shape))):
+        raise ShapeError(f"dropout draw shape {draw_shape} does not cover {shape}")
+    draws = rng.random(shape if draw_shape is None else draw_shape)
+    if draws.shape != shape:
+        draws = draws[tuple(slice(n) for n in shape)].copy()
     mask = np.divide(draws >= p, 1.0 - p, out=draws)
 
     def backward_fn(g):
@@ -453,6 +463,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise InputError("cross_entropy needs at least one example, got an empty batch")
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    if labels.dtype.kind not in "iu":
+        raise InputError(f"labels must be an integer array, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= c:
         raise InputError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")

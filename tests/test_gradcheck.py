@@ -252,10 +252,12 @@ def reference_gelu(x: Tensor) -> Tensor:
 
 
 def reference_dropout(x: Tensor, p: float, mode: str,
-                      rng: np.random.Generator | None = None) -> Tensor:
+                      rng: np.random.Generator | None = None,
+                      draw_shape: tuple[int, ...] | None = None) -> Tensor:
     if mode == "eval" or p == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    draws = rng.random(x.data.shape if draw_shape is None else draw_shape)
+    mask = (draws[tuple(slice(n) for n in x.data.shape)] >= p) / (1.0 - p)
 
     def backward_fn(g):
         x._accumulate(g * mask)

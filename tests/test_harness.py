@@ -163,10 +163,10 @@ class TestPredict:
         np.testing.assert_array_equal(preds, np.argmax(logits.data, axis=1))
 
     @pytest.mark.parametrize("spec,count", [
-        ("fullft", 72),
-        ("fullbitfit", 65),
-        ("fulllora-II", 65),
-        ("spafit:N1=1,N2=2,mode=II", 50),
+        ("fullft", 73),
+        ("fullbitfit", 66),
+        ("fulllora-II", 66),
+        ("spafit:N1=1,N2=2,mode=II", 51),
     ])
     def test_graph_restored_after_forward_raises(self, desk_loss, closures, spec, count):
         """A second batch whose token id is out of range fails inside the

@@ -1,6 +1,7 @@
 """Encoder model: parameter census, forward semantics, determinism."""
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ class TestEncoderLayer:
         store = build_model(TOY, seed=1)
         with pytest.raises(ShapeError):
             encoder_layer_forward(store, 0, Tensor(np.zeros((1, 4, 7))), mode="eval")
+
+    def test_empty_sequence_rejected(self):
+        store = build_model(TOY, seed=1)
+        with pytest.raises(InputError, match="at least one position"):
+            encoder_layer_forward(store, 0, Tensor(np.zeros((2, 0, 8))), mode="eval")
+
+    @pytest.mark.parametrize("layer", [-1, 4, 5, 1.0, "0"])
+    def test_layer_index_outside_the_stack_rejected(self, layer):
+        store = build_model(TOY, seed=1)
+        with pytest.raises(InputError, match="layer index"):
+            encoder_layer_forward(store, layer, Tensor(np.zeros((2, 3, 8))), mode="eval")
 
     def test_eval_mode_deterministic(self):
         store = build_model(TOY, seed=1)
@@ -294,9 +306,11 @@ DESK = ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
                    vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16)
 
 
-def full_width_logits(store, tokens: np.ndarray, types: np.ndarray) -> np.ndarray:
-    """The eval forward with every layer at every position: embeddings,
-    ``encoder_layer_forward`` per layer, ``first_token``, pooler and head."""
+def full_width_forward(store, tokens: np.ndarray, types: np.ndarray, mode: str = "eval",
+                       rng: np.random.Generator | None = None) -> Tensor:
+    """The forward with every layer at every position: embeddings and their
+    dropout, ``encoder_layer_forward`` per layer, ``first_token``, pooler and
+    head."""
     batch, seq = tokens.shape
     p = store.params
     x = T.layer_norm(T.embedding(p["embeddings.word_embeddings.weight"], tokens)
@@ -304,10 +318,22 @@ def full_width_logits(store, tokens: np.ndarray, types: np.ndarray) -> np.ndarra
                                    np.broadcast_to(np.arange(seq), (batch, seq)))
                      + T.embedding(p["embeddings.token_type_embeddings.weight"], types),
                      p["embeddings.LayerNorm.weight"], p["embeddings.LayerNorm.bias"])
+    x = T.dropout(x, store.config.dropout_p, mode, rng)
     for layer in range(store.config.num_layers):
-        x = encoder_layer_forward(store, layer, x, mode="eval")
+        x = encoder_layer_forward(store, layer, x, mode, rng)
     pooled = T.tanh(_linear(store, "pooler.dense", T.first_token(x)))
-    return _linear(store, "classifier", pooled).data
+    return _linear(store, "classifier", pooled)
+
+
+def moved_store(spec: str, cfg: ModelConfig = DESK):
+    """A store under ``spec`` with every tensor, LoRA factors included, moved
+    off its init so each path shows in the logits."""
+    store = attach_lora(build_model(cfg, seed=0), compile_plan(parse_plan_spec(spec), cfg),
+                        seed=0)
+    rng = np.random.default_rng(5)
+    for t in (store.params | store.factors()).values():
+        t.data += 0.05 * rng.standard_normal(t.data.shape)
+    return store
 
 
 class TestPooledEvalForward:
@@ -315,21 +341,10 @@ class TestPooledEvalForward:
     GEMM may round differently, so the logits match the full-width forward
     within 1e-12, not bit for bit."""
 
-    @staticmethod
-    def moved_store(spec: str):
-        """A desk store under ``spec`` with every tensor, LoRA factors
-        included, moved off its init so each path shows in the logits."""
-        store = attach_lora(build_model(DESK, seed=0), compile_plan(parse_plan_spec(spec), DESK),
-                            seed=0)
-        rng = np.random.default_rng(5)
-        for t in (store.params | store.factors()).values():
-            t.data += 0.05 * rng.standard_normal(t.data.shape)
-        return store
-
     @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no_grad"])
     @pytest.mark.parametrize("spec", STANDARD_PLANS)
     def test_logits_match_full_width_forward(self, spec, graph):
-        store = self.moved_store(spec)
+        store = moved_store(spec)
         rng = np.random.default_rng(1)
         for batch in (1, 2, 16, 64):
             for seq in (1, 5, 11):
@@ -337,7 +352,7 @@ class TestPooledEvalForward:
                 types = rng.integers(0, DESK.type_vocab_size, size=(batch, seq))
                 with T.no_grad() if not graph else contextlib.nullcontext():
                     got = model_forward(store, tokens, types, mode="eval").data
-                want = full_width_logits(store, tokens, types)
+                want = full_width_forward(store, tokens, types).data
                 assert got.shape == want.shape == (batch, DESK.num_labels)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
                                            err_msg=f"batch {batch}, seq {seq}")
@@ -345,7 +360,9 @@ class TestPooledEvalForward:
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_last_layer_row_ops_see_one_position_in_eval_only(self, monkeypatch, mode):
-        """Embedding LayerNorm, then two LayerNorms and one GELU per layer."""
+        """Embedding LayerNorm, then two LayerNorms and one GELU per layer;
+        the last layer's LayerNorms and GELU see position 0 alone, in train
+        mode as in eval (the name predates the train-mode cut)."""
         seen = {"layer_norm": [], "gelu": []}
         for name, log in seen.items():
             def recording(x, *args, op=getattr(T, name), log=log):
@@ -356,9 +373,68 @@ class TestPooledEvalForward:
         tokens = rng.integers(0, DESK.vocab_size, size=(3, 7))
         model_forward(build_model(DESK, seed=0), tokens, np.zeros_like(tokens), mode=mode,
                       rng=np.random.default_rng(0))
-        last = 1 if mode == "eval" else 7
-        assert seen["layer_norm"] == [7] * 7 + [last] * 2
-        assert seen["gelu"] == [7] * 3 + [last]
+        assert seen["layer_norm"] == [7] * 7 + [1] * 2
+        assert seen["gelu"] == [7] * 3 + [1]
+
+
+class TestPooledTrainForward:
+    """In train mode too the last layer computes position 0 alone, and each
+    of its dropouts draws at full width and keeps position 0. So the loss,
+    every trainable gradient and the generator's state match a full-width
+    train forward; the loss and gradients within roundoff, since fewer GEMM
+    rows may round differently."""
+
+    @staticmethod
+    def loss_and_grads(store, forward, loss_fn):
+        """Loss value, trainable gradients and the generator state after one
+        seeded train-mode forward and backward; the gradients are cleared."""
+        rng = np.random.default_rng(7)
+        loss = loss_fn(forward(rng))
+        loss.backward()
+        grads = {}
+        for name, t in store.trainable_parameters().items():
+            grads[name], t.grad = t.grad, None
+        return float(loss.data), grads, rng.bit_generator.state
+
+    def assert_matches_full_width(self, store, tokens, types, loss_fn):
+        got = self.loss_and_grads(
+            store, lambda rng: model_forward(store, tokens, types, mode="train", rng=rng),
+            loss_fn)
+        want = self.loss_and_grads(
+            store, lambda rng: full_width_forward(store, tokens, types, "train", rng), loss_fn)
+        assert got[2] == want[2]
+        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+        assert got[1].keys() == want[1].keys()
+        norm = np.sqrt(sum(float((g * g).sum()) for g in want[1].values() if g is not None))
+        assert norm > 0
+        for name, g in want[1].items():
+            if g is None:
+                assert got[1][name] is None, name
+            else:
+                np.testing.assert_allclose(got[1][name], g, rtol=0, atol=1e-12 * norm,
+                                           err_msg=name)
+
+    @pytest.mark.parametrize("spec", STANDARD_PLANS)
+    def test_loss_gradients_and_generator_match_full_width_forward(self, spec):
+        store = moved_store(spec)
+        rng = np.random.default_rng(3)
+        for batch in (1, 2, 16):
+            for seq in (1, 5, 11):
+                tokens = rng.integers(0, DESK.vocab_size, size=(batch, seq))
+                types = rng.integers(0, DESK.type_vocab_size, size=(batch, seq))
+                labels = rng.integers(0, DESK.num_labels, size=batch)
+                self.assert_matches_full_width(
+                    store, tokens, types, lambda logits: T.cross_entropy(logits, labels))
+
+    def test_regression_loss_matches_full_width_forward(self):
+        store = moved_store("spafit:N1=1,N2=3,mode=II",
+                            dataclasses.replace(DESK, num_labels=1))
+        rng = np.random.default_rng(4)
+        tokens = rng.integers(0, DESK.vocab_size, size=(16, 11))
+        types = rng.integers(0, DESK.type_vocab_size, size=(16, 11))
+        scores = rng.uniform(0.0, 5.0, size=(16, 1))
+        self.assert_matches_full_width(store, tokens, types,
+                                       lambda logits: T.mse_loss(logits, scores))
 
 
 def reachable(loss: Tensor) -> list[Tensor]:
@@ -375,15 +451,16 @@ def reachable(loss: Tensor) -> list[Tensor]:
 
 class TestTrainingGraph:
     @pytest.mark.parametrize("spec,closures", [
-        ("fullft", 72),
-        ("fullbitfit", 65),
-        ("fulllora-II", 65),
-        ("spafit:N1=1,N2=2,mode=II", 50),
+        ("fullft", 73),
+        ("fullbitfit", 66),
+        ("fulllora-II", 66),
+        ("spafit:N1=1,N2=2,mode=II", 51),
     ])
     def test_backward_closure_count(self, desk_loss, spec, closures):
         """Pins the graph size of one desk-size training loss (the primitive
         matmul/transpose/add/scale linear layers built 172/138/231/153, and
-        the 13-node primitive attention chain 120/113/113/86)."""
+        the 13-node primitive attention chain 120/113/113/86); the one past
+        72/65/65/50 cuts the last layer's query stream to position 0)."""
         _, loss = desk_loss(spec)
         assert sum(n._backward_fn is not None for n in reachable(loss)) == closures
 

@@ -169,6 +169,25 @@ class TestDropout:
         b = T.dropout(x, 0.3, "train", np.random.default_rng(9)).data
         np.testing.assert_array_equal(a, b)
 
+    def test_draw_shape_keeps_the_leading_corner_of_the_wide_mask(self):
+        """A [3, 1, 8] cut of a [3, 5, 8] tensor gets the wide mask's
+        position 0 and leaves the generator where the wide draw does."""
+        x = Tensor(np.random.default_rng(1).standard_normal((3, 5, 8)), requires_grad=True)
+        wide_rng, cut_rng = np.random.default_rng(4), np.random.default_rng(4)
+        wide = T.dropout(x, 0.3, "train", wide_rng)
+        cut = T.dropout(T.first_position(x), 0.3, "train", cut_rng, (3, 5, 8))
+        np.testing.assert_array_equal(cut.data, wide.data[:, :1])
+        assert cut_rng.bit_generator.state == wide_rng.bit_generator.state
+        T.tensor_sum(cut).backward()
+        np.testing.assert_array_equal(x.grad[:, 0] != 0, wide.data[:, 0] != 0)
+        assert not x.grad[:, 1:].any()
+
+    @pytest.mark.parametrize("draw_shape", [(3, 8), (3, 1, 7), (2, 5, 8)])
+    def test_draw_shape_that_does_not_cover_the_input_rejected(self, draw_shape):
+        with pytest.raises(ShapeError, match="draw shape"):
+            T.dropout(Tensor(np.ones((3, 1, 8))), 0.3, "train", np.random.default_rng(0),
+                      draw_shape)
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -288,6 +307,12 @@ class TestLosses:
     def test_cross_entropy_empty_batch_raises_input_error(self):
         with pytest.raises(InputError, match="empty batch"):
             T.cross_entropy(Tensor(np.zeros((0, 4))), np.zeros(0, np.int64))
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_cross_entropy_non_integer_labels_raise_input_error(self, labels):
+        with pytest.raises(InputError, match="integer"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
     def test_mse(self):
         pred = Tensor([[1.0], [3.0]], requires_grad=True)
