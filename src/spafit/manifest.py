@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .errors import ManifestError
 from .model import ModelConfig
-from .harness import default_learning_rate
 from .optim import TrainConfig
 from .plan import PlanSpec, parse_plan_spec
 from .tasks import TaskSpec
@@ -58,15 +57,16 @@ _REQUIRED = {
 
 @dataclass
 class RunManifest:
+    """A validated manifest. ``train_config.learning_rate`` is None when
+    neither the file nor an override sets it; each trained plan then trains
+    at its own default rate."""
+
     model_config: ModelConfig
     model_seed: int
     plan_spec: PlanSpec
     train_config: TrainConfig
     task_spec: TaskSpec
     out_dir: Path
-    # Whether the manifest or an override set the rate; if not,
-    # ``train_config`` holds the ``[plan]`` spec's default.
-    learning_rate_given: bool
 
 
 def _parse_sections(path: str | Path) -> dict[str, dict[str, str]]:
@@ -113,7 +113,8 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
     """Parse and validate a manifest; ``overrides`` wins over file values.
 
     Recognized override keys: spec, seed (train seed), learning_rate,
-    batch_size, epochs, out_dir; any other key is ignored.
+    batch_size, epochs, out_dir; any other key is ignored. An unset learning
+    rate stays None, so each trained plan uses its own default.
     """
     overrides = overrides or {}
     sections = _parse_sections(path)
@@ -133,9 +134,7 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
     for key in ("learning_rate", "batch_size", "epochs"):
         if overrides.get(key) is not None:
             train_raw[key] = overrides[key]
-    learning_rate_given = "learning_rate" in train_raw
-    if not learning_rate_given:
-        train_raw["learning_rate"] = default_learning_rate(plan_spec)
+    train_raw.setdefault("learning_rate", None)
     if overrides.get("seed") is not None:
         train_raw["seed"] = overrides["seed"]
     try:
@@ -148,5 +147,4 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
                    or sections.get("outputs", {}).get("out_dir", "runs"))
     return RunManifest(model_config=model_config, model_seed=model_seed,
                        plan_spec=plan_spec, train_config=train_config,
-                       task_spec=task_spec, out_dir=out_dir,
-                       learning_rate_given=learning_rate_given)
+                       task_spec=task_spec, out_dir=out_dir)

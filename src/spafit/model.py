@@ -224,17 +224,33 @@ def _self_attention(store: ParamStore, layer: int, x: Tensor, context: Tensor) -
     return T.attention(q, k, v, store.config.num_heads)
 
 
-def _layer(store: ParamStore, layer: int, x: Tensor, context: Tensor, mode: str,
-           rng: np.random.Generator | None) -> Tensor:
+def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = "eval",
+                          rng: np.random.Generator | None = None,
+                          context: Tensor | None = None) -> Tensor:
     """One encoder layer over the query and residual stream ``x``
-    ([batch, q_len, hidden]), with keys and values from every position of
-    ``context`` ([batch, seq, hidden]); the output has ``x``'s shape. Each
-    train-mode dropout draws its mask at ``context``'s shape and keeps
-    ``x``'s leading positions, so a cut ``x`` consumes the generator as a
-    full-width one does."""
-    p = store.config.dropout_p
-    base = f"encoder.layer.{layer}"
+    ([batch, q_len, hidden], ``q_len`` >= 1), with keys and values from every
+    position of ``context`` ([batch, seq, hidden], ``seq`` >= ``q_len``; None
+    means ``x``); the output has ``x``'s shape, and ``layer`` is a 0-based
+    index below ``num_layers``. Each train-mode dropout draws its mask at
+    ``context``'s shape and keeps ``x``'s leading positions, so a cut ``x``
+    consumes the generator as a full-width one does."""
+    cfg = store.config
+    context = x if context is None else context
+    if x.data.ndim != 3 or x.data.shape[-1] != cfg.hidden_size:
+        raise ShapeError(f"encoder layer expects [batch, seq, {cfg.hidden_size}], "
+                         f"got {x.data.shape}")
+    batch, q_len = x.data.shape[:2]
+    if q_len == 0:
+        raise InputError(f"encoder layer needs at least one position, got {x.data.shape}")
     draw = context.data.shape
+    if len(draw) != 3 or draw[0] != batch or draw[1] < q_len or draw[2] != cfg.hidden_size:
+        raise ShapeError(f"encoder layer context must be [{batch}, >= {q_len}, "
+                         f"{cfg.hidden_size}], got {draw}")
+    if not isinstance(layer, (int, np.integer)) or not 0 <= layer < cfg.num_layers:
+        raise InputError(f"layer index must be an int in [0, {cfg.num_layers}), "
+                         f"got {layer!r}")
+    p = cfg.dropout_p
+    base = f"encoder.layer.{layer}"
 
     attn = _self_attention(store, layer, x, context)
     attn = T.dropout(attn, p, mode, rng, draw)
@@ -250,22 +266,6 @@ def _layer(store: ParamStore, layer: int, x: Tensor, context: Tensor, mode: str,
                      store.params[f"{base}.output.LayerNorm.weight"],
                      store.params[f"{base}.output.LayerNorm.bias"])
     return T.dropout(x, p, mode, rng, draw)
-
-
-def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = "eval",
-                          rng: np.random.Generator | None = None) -> Tensor:
-    """One encoder layer; input and output are [batch, seq, hidden] with
-    ``seq`` >= 1, and ``layer`` is a 0-based index below ``num_layers``."""
-    cfg = store.config
-    if x.data.ndim != 3 or x.data.shape[-1] != cfg.hidden_size:
-        raise ShapeError(f"encoder layer expects [batch, seq, {cfg.hidden_size}], "
-                         f"got {x.data.shape}")
-    if x.data.shape[1] == 0:
-        raise InputError(f"encoder layer needs at least one position, got {x.data.shape}")
-    if not isinstance(layer, (int, np.integer)) or not 0 <= layer < cfg.num_layers:
-        raise InputError(f"layer index must be an int in [0, {cfg.num_layers}), "
-                         f"got {layer!r}")
-    return _layer(store, layer, x, x, mode, rng)
 
 
 def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray,
@@ -309,14 +309,13 @@ def model_forward(store: ParamStore, token_ids: np.ndarray, type_ids: np.ndarray
                      store.params["embeddings.LayerNorm.bias"])
     x = T.dropout(x, cfg.dropout_p, mode, rng)
 
+    last = cfg.num_layers - 1
     for layer in range(cfg.num_layers):
-        if layer == cfg.num_layers - 1:
-            # Only position 0 reaches the head, so the last layer's queries,
-            # residual stream and feed-forward run there alone; its keys and
-            # values still come from every position.
-            x = _layer(store, layer, T.first_position(x), x, mode, rng)
-        else:
-            x = encoder_layer_forward(store, layer, x, mode, rng)
+        # Only position 0 reaches the head, so the last layer's queries,
+        # residual stream and feed-forward run there alone; its keys and
+        # values still come from every position.
+        query = T.first_position(x) if layer == last else x
+        x = encoder_layer_forward(store, layer, query, mode, rng, context=x)
 
     pooled = T.tanh(_linear(store, "pooler.dense", T.first_token(x)))
     return _linear(store, "classifier", pooled)

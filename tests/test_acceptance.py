@@ -40,6 +40,8 @@ from spafit.plan import (
 from spafit.tasks import TaskSpec, generate_task
 from spafit.tensor import Tensor
 
+from test_gradcheck import check_gradients
+
 BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
                          ffn_size=4096, vocab_size=28996, max_positions=512,
                          type_vocab_size=2, lora_rank=64, lora_alpha=128)
@@ -128,29 +130,6 @@ def test_criterion_02_count_oracle():
                     == count_trainable(plan, cfg, include_head), (spec, cfg)
 
 
-def _fd_grad(scalar_fn, arrays, wrt, h=1e-5):
-    grad = np.zeros_like(arrays[wrt])
-    flat = grad.reshape(-1)
-    for i in range(flat.size):
-        for sign in (+1.0, -1.0):
-            perturbed = [a.copy() for a in arrays]
-            perturbed[wrt].reshape(-1)[i] += sign * h
-            flat[i] += sign * scalar_fn(perturbed)
-    return grad / (2.0 * h)
-
-
-def _check_against_fd(fn_tensors, arrays):
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    fn_tensors(tensors).backward()
-
-    def scalar_fn(vals):
-        return float(fn_tensors([Tensor(v) for v in vals]).data)
-
-    for i, t in enumerate(tensors):
-        numeric = _fd_grad(scalar_fn, arrays, wrt=i)
-        np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-8)
-
-
 def test_criterion_03_gradient_checks():
     with criterion(3, "analytic gradients match central finite differences",
                    budget_s=30.0):
@@ -158,11 +137,11 @@ def test_criterion_03_gradient_checks():
 
         x = rng.standard_normal((3, 6))
         w = rng.standard_normal((3, 6))
-        _check_against_fd(
+        check_gradients(
             lambda ts: T.tensor_sum(T.mul(T.gelu(ts[0]), Tensor(w))), [x])
 
         gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
-        _check_against_fd(
+        check_gradients(
             lambda ts: T.tensor_sum(T.mul(
                 T.layer_norm(ts[0], ts[1], ts[2]), Tensor(w))),
             [x, gamma, beta])
@@ -176,7 +155,7 @@ def test_criterion_03_gradient_checks():
             scores = T.matmul(ts[0], T.transpose(ts[1])) * 0.5
             return T.tensor_sum(T.mul(T.matmul(T.softmax(scores), ts[2]), Tensor(wa)))
 
-        _check_against_fd(attention, [q, k, v])
+        check_gradients(attention, [q, k, v])
 
         cfg = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=12,
                           vocab_size=11, max_positions=8, lora_rank=2,
@@ -197,7 +176,7 @@ def test_criterion_03_gradient_checks():
             out = encoder_layer_forward(store, 0, ts[0], mode="eval")
             return T.tensor_sum(T.mul(out, Tensor(wl)))
 
-        _check_against_fd(layer, arrays)
+        check_gradients(layer, arrays)
 
 
 def test_criterion_04_zero_init_transparency():

@@ -144,13 +144,14 @@ class TestManifest:
         assert m.train_config.learning_rate == 1e-4
         assert m.train_config.epochs == 1
 
-    def test_default_lr_depends_on_plan_kind(self, tmp_path):
-        text = MANIFEST.format(out_dir=tmp_path).replace(
-            "learning_rate = 2e-3\n", "")
+    def test_default_lr_depends_on_plan_kind(self, tmp_path, capsys):
         path = tmp_path / "nolr.manifest"
-        path.write_text(text)
-        assert load_manifest(path).train_config.learning_rate == 6e-5
-        assert load_manifest(path, {"spec": "fullft"}).train_config.learning_rate == 2e-5
+        path.write_text(MANIFEST.format(out_dir=tmp_path / "out").replace(
+            "learning_rate = 2e-3\n", ""))
+        for flags, rate in (([], 6e-5), (["--spec", "fullft"], 2e-5)):
+            assert main(["train", "--manifest", str(path), "--epochs", "0", *flags]) == 0
+            result = json.loads((tmp_path / "out" / "result.json").read_text())
+            assert result["hyperparameters"]["learning_rate"] == rate
 
     def test_model_num_labels_follows_task(self, tmp_path):
         text = MANIFEST.format(out_dir=tmp_path).replace(

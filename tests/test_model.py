@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,52 @@ class TestEncoderLayer:
         store = build_model(TOY, seed=1)
         with pytest.raises(InputError, match="layer index"):
             encoder_layer_forward(store, layer, Tensor(np.zeros((2, 3, 8))), mode="eval")
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("shape", [(3, 4, 8), (2, 4, 6), (2, 2, 8), (2, 4)],
+                             ids=["batch", "hidden", "positions", "rank"])
+    def test_mismatched_context_rejected(self, mode, shape):
+        store = build_model(TOY, seed=1)
+        x = Tensor(np.zeros((2, 3, 8)))
+        with pytest.raises(ShapeError, match="context"):
+            encoder_layer_forward(store, 0, x, mode, np.random.default_rng(0),
+                                  context=Tensor(np.zeros(shape)))
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_context_defaults_to_x(self, mode):
+        store = build_model(TOY, seed=1)
+        x = Tensor(np.random.default_rng(5).standard_normal((2, 4, 8)))
+        a = encoder_layer_forward(store, 1, x, mode, np.random.default_rng(0)).data
+        b = encoder_layer_forward(store, 1, x, mode, np.random.default_rng(0),
+                                  context=x).data
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("num_layers", [0, 1, 2, 4])
+    def test_model_forward_runs_every_layer_through_it(self, monkeypatch, mode,
+                                                       num_layers):
+        """Rebinding the name in every spafit module, as a tracer does, sees
+        each layer once; the last call's ``x`` is position 0 alone and its
+        ``context`` holds every position."""
+        calls = []
+
+        def recording(store, layer, x, *args, **kwargs):
+            keys = kwargs.get("context", x)
+            calls.append((layer, x.data.shape[1], keys.data.shape[1]))
+            return encoder_layer_forward(store, layer, x, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("spafit") and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is encoder_layer_forward:
+                        monkeypatch.setattr(module, attr, recording)
+        cfg = dataclasses.replace(TOY, num_layers=num_layers)
+        tokens = np.random.default_rng(3).integers(0, cfg.vocab_size, size=(2, 5))
+        model_forward(build_model(cfg, seed=0), tokens, np.zeros_like(tokens), mode,
+                      np.random.default_rng(0))
+        # (layer, positions of x, positions of context) per call
+        want = [(layer, 5, 5) for layer in range(num_layers - 1)]
+        assert calls == want + [(num_layers - 1, 1, 5)] * (num_layers > 0)
 
     def test_eval_mode_deterministic(self):
         store = build_model(TOY, seed=1)
