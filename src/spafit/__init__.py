@@ -48,7 +48,7 @@ from .optim import AdamW, TrainConfig
 from .metrics import accuracy, f1_binary, matthews_corr, pearson_corr
 from .tasks import DatasetRecord, TaskSpec, generate_task
 from .harness import ComparisonTable, RunResult, compare_configs, evaluate, train_run
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 __version__ = "0.1.0"
 
@@ -98,6 +98,7 @@ __all__ = [
     "matthews_corr",
     "merge_lora",
     "model_forward",
+    "no_grad",
     "param_shapes",
     "parse_plan_spec",
     "pearson_corr",

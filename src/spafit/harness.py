@@ -103,6 +103,8 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
     """Minibatch AdamW over the plan's trainables, then a validation pass.
     A ``cfg`` without a learning rate trains at the plan's default."""
     _check_head(store, task_spec)
+    if not train_records:
+        raise InputError("train_run needs at least one training record")
     if cfg.learning_rate is None:
         cfg = replace(cfg, learning_rate=default_learning_rate(plan.spec))
     started = time.perf_counter()

@@ -134,7 +134,6 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
     for key in ("learning_rate", "batch_size", "epochs"):
         if overrides.get(key) is not None:
             train_raw[key] = overrides[key]
-    train_raw.setdefault("learning_rate", None)
     if overrides.get("seed") is not None:
         train_raw["seed"] = overrides["seed"]
     try:

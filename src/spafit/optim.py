@@ -30,7 +30,7 @@ _BUCKET = 1 << 15
 @dataclass(frozen=True)
 class TrainConfig:
     # None: each trained plan's default rate (see ``harness.default_learning_rate``).
-    learning_rate: float | None = DEFAULT_LR_PEFT
+    learning_rate: float | None = None
     batch_size: int = 16
     epochs: int = 10
     weight_decay: float = 0.01

@@ -24,23 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import (
-    check_tensors,
-    config_from_header,
-    read_container,
-    write_container,
-)
 from .errors import CheckpointFormatError, CompatibilityError, PlanError
 from .model import (
     INIT_STD,
     LoraPair,
     ModelConfig,
     ParamStore,
+    check_tensors,
+    config_from_header,
     factor_names,
     is_head_path,
     layer_number,
     param_shapes,
+    read_container,
     total_parameter_count,
+    write_container,
 )
 from .tensor import Tensor
 

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from spafit.checkpoint import (
-    FORMAT_VERSION,
-    MAGIC,
     load_checkpoint,
     load_checkpoint_with_plan,
     read_container,
@@ -26,7 +24,7 @@ from spafit.errors import (
     UnknownTensorError,
 )
 from spafit.manifest import load_manifest
-from spafit.model import ModelConfig, build_model
+from spafit.model import FORMAT_VERSION, MAGIC, ModelConfig, build_model
 from spafit.plan import (
     attach_lora,
     compile_plan,
@@ -91,6 +89,21 @@ def test_plan_spec_not_matching_pairs_rejected(store, tmp_path, attached, saved)
     with pytest.raises(PlanError):
         save_checkpoint(store, path, plan_spec=saved)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    ("classifier.bias", None), ("pooler.dense.bias", np.zeros(9))])
+def test_store_not_matching_its_config_rejected(store, tmp_path, path, value):
+    """The loader expects exactly the base tensors the config implies, so a
+    store missing one, or holding one misshapen, is not written."""
+    if value is None:
+        del store.params[path]
+    else:
+        store.params[path].data = value
+    out = tmp_path / "model.ckpt"
+    with pytest.raises(PlanError, match="plan spec None"):
+        save_checkpoint(store, out)
+    assert not out.exists()
 
 
 def test_corrupt_magic_rejected(store, tmp_path):

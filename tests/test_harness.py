@@ -87,6 +87,21 @@ class TestTrainRun:
             train_run(store, plan, TASK, train, val, sp.TrainConfig(epochs=1))
         assert all(np.array_equal(t.data, before[name]) for name, t in store.params.items())
 
+    def test_empty_training_list_rejected(self, datasets):
+        _, val = datasets
+        store = sp.build_model(MODEL_CFG, seed=3)
+        plan = sp.compile_plan(sp.parse_plan_spec("fullbitfit"), MODEL_CFG)
+        with pytest.raises(InputError, match="at least one training record"):
+            train_run(store, plan, TASK, [], val,
+                      sp.TrainConfig(learning_rate=1e-3, epochs=1))
+
+    @pytest.mark.parametrize("plan_text, rate", [("fullft", 2e-5), ("fullbitfit", 6e-5)])
+    def test_default_train_config_trains_at_plan_default(self, datasets, plan_text, rate):
+        assert sp.TrainConfig().learning_rate is None
+        _, result = fresh_run(sp.TrainConfig(epochs=0), plan_text=plan_text,
+                              datasets=datasets)
+        assert result.hyperparameters["learning_rate"] == rate
+
     def test_trainable_count_matches_plan_audit(self, datasets):
         cfg = sp.TrainConfig(learning_rate=1e-3, epochs=1, seed=0)
         _, result = fresh_run(cfg, plan_text="fullbitfit", datasets=datasets)
@@ -161,6 +176,16 @@ class TestPredict:
         preds = predict(store, self.DESK_TASK, val)
         assert closures and sum(closures) == 0
         np.testing.assert_array_equal(preds, np.argmax(logits.data, axis=1))
+
+    def test_public_no_grad_builds_no_backward_closure(self, closures):
+        store = self.desk_store()
+        _, val = generate_task(self.DESK_TASK)
+        tokens, types = encode_batch(self.DESK_TASK, val)
+        with sp.no_grad():
+            logits = sp.model_forward(store, tokens, types, mode="eval")
+        assert closures and sum(closures) == 0
+        assert logits._backward_fn is None and not logits.requires_grad
+        assert "no_grad" in sp.__all__
 
     @pytest.mark.parametrize("spec,count", [
         ("fullft", 73),

@@ -64,7 +64,7 @@ class TestScalarStep:
 
     def test_missing_gradient_rejected(self):
         w = Tensor([1.0], requires_grad=True)
-        opt = AdamW({"w": w}, TrainConfig(seed=0))
+        opt = AdamW({"w": w}, TrainConfig(learning_rate=6e-5, seed=0))
         with pytest.raises(OptimizerError, match="'w'"):
             opt.step()
 
@@ -182,7 +182,7 @@ class TestBucketedStep:
     def test_same_tensor_registered_twice_rejected(self):
         t = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(OptimizerError, match="'a' and 'b'"):
-            AdamW({"a": t, "b": t}, TrainConfig(seed=0))
+            AdamW({"a": t, "b": t}, TrainConfig(learning_rate=6e-5, seed=0))
 
     def test_learning_rate_required(self):
         cfg = TrainConfig(learning_rate=None, seed=0)
@@ -223,7 +223,7 @@ class TestFreezeInvariance:
         frozen = store.params["encoder.layer.0.attention.self.query.weight"]
         frozen.grad = np.ones_like(frozen.data)  # never legitimately produced
         before = frozen.data.copy()
-        opt = AdamW(store.trainable_parameters(), TrainConfig(seed=0))
+        opt = AdamW(store.trainable_parameters(), TrainConfig(learning_rate=6e-5, seed=0))
         for t in store.trainable_parameters().values():
             t.grad = np.zeros_like(t.data)
         opt.step()
