@@ -105,6 +105,8 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
     _check_head(store, task_spec)
     if not train_records:
         raise InputError("train_run needs at least one training record")
+    if not val_records:
+        raise InputError("train_run needs at least one validation record")
     if cfg.learning_rate is None:
         cfg = replace(cfg, learning_rate=default_learning_rate(plan.spec))
     started = time.perf_counter()

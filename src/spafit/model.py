@@ -198,10 +198,11 @@ class ParamStore:
 def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:
     """Normal draws with |z| > 2 resampled, then scaled by ``std``."""
     x = rng.standard_normal(shape)
-    bad = np.abs(x) > 2.0
-    while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(x) > 2.0
+    flat = x.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2.0)
+    while idx.size:  # redraw in C order, then re-check only the redrawn entries
+        flat[idx] = rng.standard_normal(idx.size)
+        idx = idx[np.abs(flat[idx]) > 2.0]
     return x * std
 
 

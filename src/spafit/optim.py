@@ -25,6 +25,10 @@ DEFAULT_LR_FULL_FT = 2e-5
 # scratch stay below glibc's mmap threshold (see ``spafit.heap``) and in
 # cache; large enough that a desk-size model's trainables take a few buckets.
 _BUCKET = 1 << 15
+# Scalars per update block: a step runs the whole update on one block, which
+# stays in cache, before the next. Separate from ``_BUCKET``, which tests
+# shrink to one scalar to give every tensor a bucket of its own.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,9 @@ class AdamW:
     of consecutive tensors of at most ``_BUCKET`` scalars in all, each held in
     one contiguous array (a larger tensor forms a bucket alone and keeps its
     own array). Every parameter's ``.data`` becomes a view into its bucket,
-    and the moments are one array per bucket, so a step is one in-place pass
-    per bucket. Write into a registered ``.data`` in place; rebinding it
+    and the moments are one array per bucket. A step updates each bucket in
+    place, in blocks of at most ``_BLOCK`` scalars, with two block-sized
+    scratch arrays. Write into a registered ``.data`` in place; rebinding it
     detaches the parameter, and ``step`` rejects that.
     """
 
@@ -98,8 +103,8 @@ class AdamW:
             size += t.data.size
         if run:
             self._pack(run)
-        largest = max((p.size for _, p, _, _ in self._buckets), default=0)
-        self._scratch = (np.empty(largest), np.empty(largest))
+        block = min(max((p.size for _, p, _, _ in self._buckets), default=0), _BLOCK)
+        self._scratch = (np.empty(block), np.empty(block))
 
     def _pack(self, run: list[tuple[str, Tensor]]) -> None:
         """Make ``run`` one bucket: each tensor's data and moments become views
@@ -141,31 +146,34 @@ class AdamW:
         t = self.step_count
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
+        block1, block2 = self._scratch
         for members, p, m, v in self._buckets:
             n = p.size
-            s1 = self._scratch[0][:n]
-            s2 = self._scratch[1][:n]
             if len(members) == 1:
                 g = members[0][1].grad.reshape(-1)
-            else:
+            else:  # into block1 when the bucket is one block
                 g = np.concatenate([param.grad.reshape(-1) for _, param, _ in members],
-                                   out=s1)
-            # In place, in the per-tensor expression order, so every value is
-            # bit-identical to m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-            # p = p - lr*((m/bias1) / (sqrt(v/bias2) + eps) + wd*p).
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=s2)
-            m += s2
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=s2)
-            s2 *= g
-            v += s2
-            np.divide(v, bias2, out=s1)  # g is dead from here on
-            np.sqrt(s1, out=s1)
-            s1 += cfg.eps
-            np.divide(m, bias1, out=s2)
-            s2 /= s1
-            np.multiply(p, cfg.weight_decay, out=s1)
-            s1 += s2
-            s1 *= cfg.learning_rate
-            p -= s1
+                                   out=block1[:n] if n <= _BLOCK else None)
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                gb, pb, mb, vb = g[lo:hi], p[lo:hi], m[lo:hi], v[lo:hi]
+                s1, s2 = block1[:hi - lo], block2[:hi - lo]
+                # In place, in the per-tensor expression order, so every value
+                # is bit-identical to m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+                # p = p - lr*((m/bias1) / (sqrt(v/bias2) + eps) + wd*p).
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=s2)
+                mb += s2
+                vb *= b2
+                np.multiply(gb, 1.0 - b2, out=s2)
+                s2 *= gb
+                vb += s2
+                np.divide(vb, bias2, out=s1)  # gb is dead from here on
+                np.sqrt(s1, out=s1)
+                s1 += cfg.eps
+                np.divide(mb, bias1, out=s2)
+                s2 /= s1
+                np.multiply(pb, cfg.weight_decay, out=s1)
+                s1 += s2
+                s1 *= cfg.learning_rate
+                pb -= s1

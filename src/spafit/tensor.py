@@ -30,7 +30,8 @@ class Tensor:
     ``requires_grad`` marks leaves that should collect gradients; interior
     nodes inherit it from their parents. ``grad`` stays ``None`` until a
     backward pass deposits something, and accumulates across passes until
-    cleared.
+    cleared. Treat a ``grad`` array as read-only: it may be shared with
+    another tensor.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -58,13 +59,13 @@ class Tensor:
     # -- gradient plumbing -------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # Kept without a copy: ``g`` may also be another node's gradient, so
+        # no gradient array is ever written in place; a later contribution
+        # makes a new sum.
         if self.grad is None:
-            # A C-ordered copy: ``g`` may alias another node's gradient or be
-            # a transposed view. C order also makes ``grad.reshape(-1)`` a
-            # view, which the optimizer gathers into, or reads as, its bucket.
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     def backward(self) -> None:
         backward(self)

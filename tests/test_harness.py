@@ -95,6 +95,16 @@ class TestTrainRun:
             train_run(store, plan, TASK, [], val,
                       sp.TrainConfig(learning_rate=1e-3, epochs=1))
 
+    def test_empty_validation_list_rejected_before_training(self, datasets):
+        train, _ = datasets
+        store = sp.build_model(MODEL_CFG, seed=3)
+        plan = sp.compile_plan(sp.parse_plan_spec("fullbitfit"), MODEL_CFG)
+        before = {name: t.data.copy() for name, t in store.params.items()}
+        with pytest.raises(InputError, match="at least one validation record"):
+            train_run(store, plan, TASK, train, [],
+                      sp.TrainConfig(learning_rate=1e-3, epochs=3))
+        assert all(np.array_equal(t.data, before[name]) for name, t in store.params.items())
+
     @pytest.mark.parametrize("plan_text, rate", [("fullft", 2e-5), ("fullbitfit", 6e-5)])
     def test_default_train_config_trains_at_plan_default(self, datasets, plan_text, rate):
         assert sp.TrainConfig().learning_rate is None

@@ -17,6 +17,7 @@ from spafit.model import (
     model_forward,
     param_shapes,
     total_parameter_count,
+    truncated_normal,
 )
 from spafit.optim import TrainConfig
 from spafit.plan import attach_lora, compile_plan, parse_plan_spec
@@ -105,6 +106,23 @@ class TestBuildModel:
         w = store.params["encoder.layer.0.attention.self.query.weight"].data
         assert np.abs(w).max() <= 2 * 0.02 + 1e-12
         assert 0.01 < w.std() < 0.03
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (40, 32), (64, 3, 5), (512, 128)])
+    def test_truncated_normal_matches_whole_array_redraw(self, shape):
+        def whole_array(rng, shape, std):
+            x = rng.standard_normal(shape)
+            bad = np.abs(x) > 2.0
+            while bad.any():
+                x[bad] = rng.standard_normal(int(bad.sum()))
+                bad = np.abs(x) > 2.0
+            return x * std
+
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = truncated_normal(rng, shape, 0.02), whole_array(ref_rng, shape, 0.02)
+            assert got.shape == shape
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError, match="divisible"):

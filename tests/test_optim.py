@@ -127,12 +127,29 @@ class TestBucketedStep:
     @pytest.mark.parametrize("spec", STANDARD_PLANS)
     def test_bit_identical_to_per_tensor_loop(self, monkeypatch, spec, bucket):
         monkeypatch.setattr(optim, "_BUCKET", bucket)
-        ref_store, ref_opt, ref_losses = train_desk(spec, ReferenceAdamW)
-        store, opt, losses = train_desk(spec, AdamW)
+        opt = self._assert_matches_reference(spec)
         if bucket == 1:
             assert len(opt._buckets) == len(opt.params)
         if bucket == 10 ** 9:
             assert len(opt._buckets) == 1
+
+    @pytest.mark.parametrize("bucket", [1, 10 ** 9])
+    @pytest.mark.parametrize("block", [5, 700])
+    @pytest.mark.parametrize("spec", STANDARD_PLANS)
+    def test_blocks_bit_identical_to_per_tensor_loop(self, monkeypatch, spec, block, bucket):
+        """Buckets updated in several blocks, most with a shorter last one;
+        one bucket of everything is larger than a block, so it is gathered
+        outside the block scratch."""
+        monkeypatch.setattr(optim, "_BUCKET", bucket)
+        monkeypatch.setattr(optim, "_BLOCK", block)
+        opt = self._assert_matches_reference(spec)
+        assert all(s.size == block for s in opt._scratch)
+        assert any(p.size > block and p.size % block for _, p, _, _ in opt._buckets)
+
+    @staticmethod
+    def _assert_matches_reference(spec):
+        ref_store, ref_opt, ref_losses = train_desk(spec, ReferenceAdamW)
+        store, opt, losses = train_desk(spec, AdamW)
         assert losses == ref_losses
         for path, t in ref_store.params.items():
             assert np.array_equal(store.params[path].data, t.data), path
@@ -142,6 +159,7 @@ class TestBucketedStep:
         for name in ref_opt.params:
             assert np.array_equal(opt.first[name], ref_opt.first[name]), name
             assert np.array_equal(opt.second[name], ref_opt.second[name]), name
+        return opt
 
     @staticmethod
     def _pair():

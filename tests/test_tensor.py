@@ -222,6 +222,20 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, [2.0])
         np.testing.assert_array_equal(b.grad, [1.0])
 
+    def test_handed_over_gradients_are_never_written(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)))
+        T.tensor_sum(T.mul(T.add(a, b), w)).backward()
+        held = {"a": a.grad, "b": b.grad}
+        assert np.shares_memory(held["a"], held["b"])  # add hands both one array
+        first = {name: g.copy() for name, g in held.items()}
+        T.tensor_sum(T.mul(T.add(a, b), w)).backward()  # no zero_grad between
+        for name, t in (("a", a), ("b", b)):
+            np.testing.assert_array_equal(held[name], first[name])
+            np.testing.assert_array_equal(t.grad, 2.0 * first[name])
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(GraphError):
