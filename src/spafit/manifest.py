@@ -141,6 +141,16 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
         model_config = ModelConfig(num_labels=task_spec.model_num_labels, **model)
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
+    # The model must embed every token id and position the task generates;
+    # checked here, before any data is generated or any model built.
+    if task_spec.vocab_size > model_config.vocab_size:
+        raise ManifestError(
+            f"[task] vocab_size {task_spec.vocab_size} exceeds [model] vocab_size "
+            f"{model_config.vocab_size}: the model cannot embed the task's token ids")
+    if task_spec.seq_len > model_config.max_positions:
+        raise ManifestError(
+            f"[task] seq_len {task_spec.seq_len} exceeds [model] max_positions "
+            f"{model_config.max_positions}: the model cannot embed the task's positions")
 
     out_dir = Path(overrides.get("out_dir")
                    or sections.get("outputs", {}).get("out_dir", "runs"))

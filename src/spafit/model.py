@@ -395,12 +395,12 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         name, shape = _entry_name_and_shape(path, entry)
         if name in tensors:
             raise CheckpointFormatError(f"{path}: tensor {name!r} declared twice")
-        nbytes = math.prod(shape) * 8
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) < nbytes:
+        count = math.prod(shape)
+        if offset + count * 8 > len(raw):
             raise CheckpointTruncatedError(f"{path}: payload for {name!r} truncated")
-        tensors[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += nbytes
+        # one copy, straight out of the file's bytes into an owned array
+        tensors[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).copy()
+        offset += count * 8
     if offset != len(raw):
         raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")
     return header, tensors

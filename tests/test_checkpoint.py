@@ -182,6 +182,27 @@ def test_payloads_little_endian_row_major(tmp_path):
     assert raw[-48:] == arr.astype("<f8").tobytes()
 
 
+def test_read_arrays_are_owned_writeable_and_c_contiguous(store, tmp_path):
+    """AdamW and adapter swaps write loaded arrays in place, so each must be
+    its own C-ordered, writeable buffer, not a view of the file's bytes."""
+    path = tmp_path / "t.ckpt"
+    written = {p: t.data for p, t in store.params.items()}
+    written |= {"scalar": np.asarray(2.5), "empty": np.zeros((0, 3)),
+                "column": np.arange(4.0).reshape(4, 1)}
+    write_container(path, "checkpoint", CFG, written)
+    _, tensors = read_container(path)
+    assert list(tensors) == list(written)
+    for name, arr in tensors.items():
+        assert arr.dtype == np.float64, name
+        assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata, name
+        assert arr.base is None, name
+        np.testing.assert_array_equal(arr, written[name])
+    tensors["column"] += 1.0
+    np.testing.assert_array_equal(tensors["column"], np.arange(1.0, 5.0).reshape(4, 1))
+    _, again = read_container(path)
+    np.testing.assert_array_equal(again["column"], written["column"])
+
+
 def _edit(change):
     """A header mutation that edits the parsed JSON object in place."""
     def mutate(header):

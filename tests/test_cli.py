@@ -371,6 +371,45 @@ class TestNonFiniteValues:
         assert not (tmp_path / "out").exists()
 
 
+def _refuse_to_generate(*args, **kwargs):
+    raise AssertionError("generate_task entered")
+
+
+class TestModelFitsTask:
+    """A task the model cannot embed is a manifest error, raised before any
+    data is generated."""
+
+    @pytest.mark.parametrize("section, line, keys", [
+        ("task", "vocab_size = 1000000000000", ("[task] vocab_size", "[model] vocab_size")),
+        ("task", "vocab_size = 100000000000000000000",
+         ("[task] vocab_size", "[model] vocab_size")),
+        ("task", "vocab_size = 400", ("[task] vocab_size", "[model] vocab_size")),
+        ("task", "seq_len = 17", ("[task] seq_len", "[model] max_positions")),
+        ("model", "max_positions = 8", ("[task] seq_len", "[model] max_positions")),
+    ])
+    def test_train_exits_2_before_generating_data(self, tmp_path, capsys, monkeypatch,
+                                                  section, line, keys):
+        path = tmp_path / "misfit.manifest"
+        path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), section, line))
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert all(key in str(info.value) for key in keys), info.value
+        monkeypatch.setattr(cli, "generate_task", _refuse_to_generate)
+        monkeypatch.setattr(cli, "train_run", _refuse_to_train)
+        assert main(["train", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_task_filling_the_model_exactly_loads(self, tmp_path):
+        path = tmp_path / "edge.manifest"
+        path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), "task",
+                                  "seq_len = 16"))
+        m = load_manifest(path)
+        assert m.task_spec.vocab_size == m.model_config.vocab_size
+        assert m.task_spec.seq_len == m.model_config.max_positions
+
+
 def _spafit_error_types():
     return [cls for cls in vars(errors).values()
             if isinstance(cls, type) and issubclass(cls, errors.SpafitError)

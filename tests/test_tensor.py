@@ -1,9 +1,11 @@
 """Unit tests for the autodiff tensor core."""
 
+import math
 import statistics
 
 import numpy as np
 import pytest
+import scipy
 
 import spafit.tensor as T
 from spafit.errors import GraphError, InputError, ShapeError, SpafitError
@@ -131,6 +133,73 @@ class TestGelu:
 
     def test_asymptote(self):
         assert abs(T.gelu(Tensor([10.0])).data[0] - 10.0) < 1e-9
+
+    # Cephes' erf changes branch at |x / sqrt(2)| = 1, so sqrt(2) and its
+    # neighbours straddle it; 8.5 and 40 reach erf's saturated tails.
+    _EDGES = [0.0, 5e-324, 1e-300, math.sqrt(2.0), np.nextafter(math.sqrt(2.0), 0.0),
+              np.nextafter(math.sqrt(2.0), 3.0), 8.5, 40.0]
+
+    @classmethod
+    def _inputs(cls) -> np.ndarray:
+        """Signed edge values, then zero-mean seeded samples at std 0.1, 1 and 3."""
+        rng = np.random.default_rng(19)
+        samples = [sigma * rng.standard_normal(4096) for sigma in (0.1, 1.0, 3.0)]
+        return np.concatenate([cls._EDGES, np.negative(cls._EDGES), *samples])
+
+    @staticmethod
+    def _plain(x, g):
+        """Value and input gradient of the plain expression, as
+        ``reference_gelu`` in test_gradcheck.py writes it."""
+        cdf = 0.5 * (1.0 + T.erf(x * T._INV_SQRT2))
+        pdf = np.exp(-0.5 * x * x) * T._INV_SQRT_2PI
+        return x * cdf, g * (cdf + x * pdf)
+
+    @staticmethod
+    def _op(x, g):
+        t = Tensor(x.copy(), requires_grad=True)
+        out = T.gelu(t)
+        out._backward_fn(g)
+        return out.data, t.grad
+
+    def _assert_matches_plain(self, x):
+        g = np.random.default_rng(7).standard_normal(x.shape)
+        for name, new, old in zip(("value", "gradient"), self._op(x, g), self._plain(x, g)):
+            assert np.array_equal(new, old, equal_nan=True), name
+            np.testing.assert_array_equal(np.signbit(new), np.signbit(old), err_msg=name)
+
+    def test_bitwise_equal_to_plain_expression(self):
+        self._assert_matches_plain(self._inputs())
+
+    def test_nan_bitwise_equal_to_plain_expression(self):
+        # -NaN is left out: the backward's in-place ``dx += cdf`` carries x's
+        # NaN where the plain ``cdf + x * pdf`` carries cdf's, so that
+        # gradient's sign bit differs from the plain one's under either erf form.
+        self._assert_matches_plain(np.array([np.nan, 1.0, np.nan, -1.0]))
+
+    def test_infinities_bitwise_equal_to_plain_expression(self):
+        # both sides give 0 * -inf = NaN at -inf
+        with np.errstate(invalid="ignore"):
+            self._assert_matches_plain(np.array([np.inf, -np.inf, 0.5, -0.5]))
+
+    def test_erf_is_odd_bit_for_bit(self):
+        """The premise of taking erf of |x|: SciPy's erf(-a) is -erf(a) exactly."""
+        a = np.abs(np.concatenate([self._inputs(), [np.inf]])) * T._INV_SQRT2
+        odd = T.erf(-a).view(np.uint64) == np.negative(T.erf(a)).view(np.uint64)
+        assert odd.all(), (f"scipy {scipy.__version__}: erf(-a) != -erf(a) bitwise at "
+                           f"a = {a[~odd][:5]}; gelu's |x| + copysign form relies on it")
+
+    def test_erf_never_sees_a_negative_sign(self, monkeypatch):
+        seen = []
+
+        def spy(arg, *args, **kwargs):
+            seen.append(np.signbit(arg).any())
+            return erf(arg, *args, **kwargs)
+
+        erf = T.erf
+        monkeypatch.setattr(T, "erf", spy)
+        with np.errstate(invalid="ignore"):
+            T.gelu(Tensor(np.concatenate([self._inputs(), [-np.inf, -np.nan]])))
+        assert seen == [False]
 
 
 class TestDropout:
