@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class SpafitError(Exception):
     """Base class for all package-specific errors."""
@@ -68,3 +70,15 @@ class UnknownTensorError(CheckpointError):
 
 class CompatibilityError(SpafitError, ValueError):
     """Adapter file does not match the target store's configuration."""
+
+
+def _check_int(value, name: str, error: type[SpafitError]) -> None:
+    """Raise ``error`` unless ``value`` is an integer other than a bool;
+    ``operator.index`` decides, so numpy integers pass."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

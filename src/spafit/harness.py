@@ -182,9 +182,13 @@ def compare_configs(specs: list[PlanSpec], model_cfg: ModelConfig, task_spec: Ta
 
     The best row among the parameter-efficient plans (full fine-tuning is
     excluded from the comparison) is flagged. A ``train_cfg`` without a
-    learning rate trains each plan at its own default.
+    learning rate trains each plan at its own default. Without records, the
+    task spec's generated train/val split is used.
     """
-    if train_records is None or val_records is None:
+    if (train_records is None) != (val_records is None):
+        raise InputError("compare_configs takes both train_records and val_records, "
+                         "or neither")
+    if train_records is None:
         train_records, val_records = generate_task(task_spec)
 
     rows: list[RunResult] = []

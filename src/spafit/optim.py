@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OptimizerError
+from .errors import ConfigError, OptimizerError, _check_int
 from .tensor import Tensor
 
 # Best-performing learning rates: PEFT plans prefer the larger one, full
@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
+        for name in ("batch_size", "epochs", "seed"):
+            _check_int(getattr(self, name), name, ConfigError)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

@@ -1,15 +1,20 @@
 """Fine-tune plan compilation, low-rank adapter attachment, and audits.
 
-A plan assigns exactly one status to every parameter path. The stratified
-kind splits the encoder stack into three 1-based layer groups around the
-boundaries N1 and N2:
+A plan assigns exactly one status to every parameter path. One rule covers
+every parameter-efficient kind: each encoder layer falls in a group, and
+the group fixes the status of each of its parameters.
 
-  Group 1 (layers 1..N1)      everything frozen
-  Group 2 (layers N1+1..N2)   bias vectors of every sub-layer tunable
-  Group 3 (layers N2+1..L)    LoRA on the attention projections (mode I:
-                              query/key/value; mode II: also the attention
-                              output dense), plus tunable biases in the
-                              intermediate and output sub-layers
+  Group 1   everything frozen
+  Group 2   bias vectors of every sub-layer tunable
+  Group 3   LoRA on the attention projections (mode I: query/key/value;
+            mode II: also the attention output dense); under the stratified
+            kind, also tunable biases in the intermediate and output
+            sub-layers
+
+The stratified kind splits the 1-based layers at the boundaries N1 and N2:
+layers 1..N1 in group 1, N1+1..N2 in group 2, N2+1..L in group 3. The
+baselines are the rule applied to every layer: BitFit puts every layer in
+group 2, full LoRA every layer in group 3.
 
 The pooler and task head stay tunable under every kind; embeddings train
 only under full fine-tuning.
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CompatibilityError, PlanError
+from .errors import CheckpointFormatError, CompatibilityError, PlanError, _check_int
 from .model import (
     INIT_STD,
     LoraPair,
@@ -47,8 +52,8 @@ _LORA_SUBPATHS_I = ("attention.self.query.weight",
                     "attention.self.value.weight")
 _LORA_SUBPATHS_II = _LORA_SUBPATHS_I + ("attention.output.dense.weight",)
 
-# Biases adapted in group-3 layers: the feed-forward sub-layers only; the
-# attention sub-layer biases stay frozen there.
+# Biases a stratified plan adapts in group-3 layers: the feed-forward
+# sub-layers only; the attention sub-layer biases stay frozen there.
 _GROUP3_BIAS_SUBPATHS = ("intermediate.dense.bias",
                          "output.dense.bias",
                          "output.LayerNorm.bias")
@@ -98,6 +103,8 @@ class PlanSpec:
         if self.kind is PlanKind.SPAFIT:
             if self.n1 is None or self.n2 is None or self.group3_mode is None:
                 raise PlanError("stratified plans need N1, N2, and mode")
+            _check_int(self.n1, "N1", PlanError)
+            _check_int(self.n2, "N2", PlanError)
             if self.n1 < 0 or self.n1 > self.n2:
                 raise PlanError(f"need 0 <= N1 <= N2, got N1={self.n1} N2={self.n2}")
         elif self.n1 is not None or self.n2 is not None or self.group3_mode is not None:
@@ -109,20 +116,11 @@ class PlanSpec:
         return self.kind.value
 
 
-def _stratified_group(spec: PlanSpec, layer_num: int) -> int:
-    """1-based group of a 1-based encoder layer under a stratified spec."""
-    return 1 if layer_num <= spec.n1 else 2 if layer_num <= spec.n2 else 3
-
-
 _SPAFIT_RE = re.compile(
     r"^spafit:n1=(\d+),n2=(\d+),mode=(i|ii)$", re.IGNORECASE)
 
-_KIND_ALIASES = {
-    "fullft": PlanKind.FULL_FT,
-    "fullbitfit": PlanKind.FULL_BITFIT,
-    "fulllora-i": PlanKind.FULL_LORA_I,
-    "fulllora-ii": PlanKind.FULL_LORA_II,
-}
+_KIND_ALIASES = {kind.value.lower(): kind for kind in PlanKind
+                 if kind is not PlanKind.SPAFIT}
 
 
 def parse_plan_spec(text: str) -> PlanSpec:
@@ -162,18 +160,16 @@ class FinetunePlan:
         """1-based group of a 1-based encoder layer (stratified kinds only)."""
         if self.spec.kind is not PlanKind.SPAFIT:
             raise PlanError(f"{self.spec} has no layer groups")
-        return _stratified_group(self.spec, layer_num)
+        return _layer_group(self.spec, layer_num)
 
 
-def _lora_subpaths(spec: PlanSpec) -> tuple[str, ...]:
-    if spec.kind is PlanKind.FULL_LORA_I:
-        return _LORA_SUBPATHS_I
-    if spec.kind is PlanKind.FULL_LORA_II:
-        return _LORA_SUBPATHS_II
+def _layer_group(spec: PlanSpec, layer_num: int) -> int:
+    """1-based group of a 1-based encoder layer under a parameter-efficient
+    spec: the stratified kind splits the stack at N1 and N2, BitFit puts
+    every layer in group 2 and full LoRA every layer in group 3."""
     if spec.kind is PlanKind.SPAFIT:
-        return _LORA_SUBPATHS_II if spec.group3_mode is Group3Mode.FT_II \
-            else _LORA_SUBPATHS_I
-    return ()
+        return 1 if layer_num <= spec.n1 else 2 if layer_num <= spec.n2 else 3
+    return 2 if spec.kind is PlanKind.FULL_BITFIT else 3
 
 
 def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
@@ -181,42 +177,25 @@ def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
     if spec.kind is PlanKind.SPAFIT and spec.n2 > config.num_layers:
         raise PlanError(f"N2={spec.n2} exceeds the {config.num_layers}-layer stack")
 
-    lora_subs = _lora_subpaths(spec)
+    mode_ii = spec.kind is PlanKind.FULL_LORA_II or spec.group3_mode is Group3Mode.FT_II
+    lora_subs = _LORA_SUBPATHS_II if mode_ii else _LORA_SUBPATHS_I
+    group3_biases = _GROUP3_BIAS_SUBPATHS if spec.kind is PlanKind.SPAFIT else ()
     assignments: dict[str, ParamStatus] = {}
 
     for path in param_shapes(config):
-        if is_head_path(path):
-            assignments[path] = ParamStatus.TUNABLE
-            continue
         layer = layer_number(path)
-        if spec.kind is PlanKind.FULL_FT:
-            assignments[path] = ParamStatus.TUNABLE
-            continue
-        if layer is None:  # embeddings stay frozen under every PEFT kind
-            assignments[path] = ParamStatus.FROZEN
-            continue
-        sub = path.split(".", 3)[3]
-
-        if spec.kind is PlanKind.FULL_BITFIT:
-            status = ParamStatus.BIAS_TUNABLE if sub.endswith(".bias") \
-                else ParamStatus.FROZEN
-        elif spec.kind in (PlanKind.FULL_LORA_I, PlanKind.FULL_LORA_II):
-            status = ParamStatus.LORA_AUGMENTED if sub in lora_subs \
-                else ParamStatus.FROZEN
-        else:  # stratified
-            group = _stratified_group(spec, layer)
-            if group == 1:
-                status = ParamStatus.FROZEN
-            elif group == 2:
-                status = ParamStatus.BIAS_TUNABLE if sub.endswith(".bias") \
-                    else ParamStatus.FROZEN
-            elif sub in lora_subs:
+        if spec.kind is PlanKind.FULL_FT or is_head_path(path):
+            status = ParamStatus.TUNABLE
+        elif layer is None:  # embeddings stay frozen under every PEFT kind
+            status = ParamStatus.FROZEN
+        else:
+            group, sub = _layer_group(spec, layer), path.split(".", 3)[3]
+            if group == 3 and sub in lora_subs:
                 status = ParamStatus.LORA_AUGMENTED
-            elif sub in _GROUP3_BIAS_SUBPATHS:
+            elif group == 2 and sub.endswith(".bias") or group == 3 and sub in group3_biases:
                 status = ParamStatus.BIAS_TUNABLE
-            else:
+            else:  # all of group 1, and what groups 2 and 3 leave untouched
                 status = ParamStatus.FROZEN
-
         assignments[path] = status
 
     return FinetunePlan(spec, config, assignments)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TaskSpecError
+from .errors import TaskSpecError, _check_int
 from .metrics import METRICS
 
 PAD_ID, CLS_ID, SEP_ID = 0, 1, 2
@@ -58,6 +58,8 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise TaskSpecError(f"unknown task kind {self.kind!r}")
+        for name in ("vocab_size", "seq_len", "train_size", "val_size", "num_labels", "seed"):
+            _check_int(getattr(self, name), name, TaskSpecError)
         if self.seed < 0:
             raise TaskSpecError(f"task seed must be >= 0, got {self.seed}")
         if self.train_size < 1 or self.val_size < 1:

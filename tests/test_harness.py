@@ -262,6 +262,15 @@ class TestCompareConfigs:
                                 train_records=train, val_records=val)
         assert table.best_peft_index == 0
 
+    @pytest.mark.parametrize("given", ["train_records", "val_records"])
+    def test_records_given_alone_rejected(self, datasets, given):
+        train, val = datasets
+        cfg = sp.TrainConfig(learning_rate=2e-3, epochs=1, seed=1)
+        records = {"train_records": train[:2], "val_records": val[:2]}
+        with pytest.raises(InputError, match="train_records and val_records"):
+            compare_configs([sp.parse_plan_spec("fullbitfit")], MODEL_CFG, TASK, cfg,
+                            model_seed=3, **{given: records[given]})
+
     def test_end_to_end_determinism(self, datasets):
         train, val = datasets
         cfg = sp.TrainConfig(learning_rate=2e-3, epochs=1, seed=1)

@@ -298,5 +298,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("batch_size", True), ("epochs", 1.5), ("epochs", "2"),
+        ("epochs", False), ("seed", 0.0), ("seed", True),
+    ])
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(4), epochs=np.int32(2), seed=np.uint8(3))
+        assert (cfg.batch_size, cfg.epochs, cfg.seed) == (4, 2, 3)
+
     def test_large_finite_learning_rate_accepted(self):
         assert TrainConfig(learning_rate=1e9).learning_rate == 1e9

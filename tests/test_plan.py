@@ -1,5 +1,7 @@
 """Plan compilation: group assignment rules, totality, exact counts."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +11,7 @@ import spafit.tensor as T
 from spafit.checkpoint import read_container
 from spafit.errors import PlanError
 from spafit.harness import predict
-from spafit.model import ModelConfig, build_model, model_forward, param_shapes
+from spafit.model import ModelConfig, build_model, layer_number, model_forward, param_shapes
 from spafit.plan import (
     Group3Mode,
     ParamStatus,
@@ -34,6 +36,10 @@ BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
 
 TOY = ModelConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
                   vocab_size=30, max_positions=16, lora_rank=2, lora_alpha=4)
+
+# The biases a stratified plan trains in group-3 layers, and full LoRA does not.
+FEED_FORWARD_BIASES = ("intermediate.dense.bias", "output.dense.bias",
+                       "output.LayerNorm.bias")
 
 STANDARD_PLANS = ("fullft", "fullbitfit", "fulllora-I", "fulllora-II",
                   "spafit:N1=1,N2=3,mode=II")
@@ -108,6 +114,17 @@ class TestSpecParsing:
         with pytest.raises(PlanError, match="too long"):
             parse_plan_spec("spafit:N1=" + "1" * 5000 + ",N2=2,mode=II")
 
+    @pytest.mark.parametrize("n1, n2, bad", [
+        (1.5, 2, "N1"), (1, 2.0, "N2"), (True, 2, "N1"), (0, True, "N2"), ("1", 2, "N1"),
+    ])
+    def test_non_integer_layer_count_rejected(self, n1, n2, bad):
+        with pytest.raises(PlanError, match=f"{bad} must be an integer"):
+            PlanSpec(PlanKind.SPAFIT, n1, n2, Group3Mode.FT_II)
+
+    def test_numpy_integer_layer_counts_round_trip(self):
+        spec = PlanSpec(PlanKind.SPAFIT, np.int64(1), np.int32(2), Group3Mode.FT_II)
+        assert parse_plan_spec(str(spec)) == spec
+
     def test_n1_greater_than_n2_rejected(self):
         with pytest.raises(PlanError):
             parse_plan_spec("spafit:N1=5,N2=3,mode=I")
@@ -153,13 +170,28 @@ class TestStratification:
         assert got["attention.output.dense.weight"] is ParamStatus.FROZEN
         assert got["attention.self.query.weight"] is ParamStatus.LORA_AUGMENTED
 
+    @pytest.mark.parametrize("layers", range(5))
+    def test_full_bitfit_is_every_layer_in_group2(self, layers):
+        cfg = dataclasses.replace(TOY, num_layers=layers)
+        full = compile_plan(parse_plan_spec("fullbitfit"), cfg).assignments
+        for mode in ("I", "II"):
+            stratified = compile_plan(
+                parse_plan_spec(f"spafit:N1=0,N2={layers},mode={mode}"), cfg).assignments
+            assert list(full.items()) == list(stratified.items())
+
     def test_degenerate_all_group3_matches_full_lora(self):
-        stratified = compile_plan(parse_plan_spec("spafit:N1=0,N2=0,mode=II"), TOY)
-        full = compile_plan(parse_plan_spec("fulllora-II"), TOY)
-        assert stratified.lora_targets == full.lora_targets
-        for path, status in full.assignments.items():
-            if status is ParamStatus.LORA_AUGMENTED:
-                assert stratified.assignments[path] is ParamStatus.LORA_AUGMENTED
+        """Full LoRA is every layer in group 3 without the feed-forward
+        biases, which it leaves frozen."""
+        for layers, mode in itertools.product(range(5), ("I", "II")):
+            cfg = dataclasses.replace(TOY, num_layers=layers)
+            full = compile_plan(parse_plan_spec(f"fulllora-{mode}"), cfg).assignments
+            stratified = compile_plan(
+                parse_plan_spec(f"spafit:N1=0,N2=0,mode={mode}"), cfg).assignments
+            for path in stratified:
+                if layer_number(path) and path.split(".", 3)[3] in FEED_FORWARD_BIASES:
+                    assert stratified[path] is ParamStatus.BIAS_TUNABLE, path
+                    stratified[path] = ParamStatus.FROZEN
+            assert list(full.items()) == list(stratified.items())
 
     def test_all_frozen_is_linear_probing(self):
         plan = compile_plan(parse_plan_spec("spafit:N1=4,N2=4,mode=I"), TOY)

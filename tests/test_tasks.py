@@ -110,6 +110,19 @@ class TestSpecValidation:
                 with pytest.raises(TaskSpecError, match=f"metric '{name}'"):
                     dataclasses.replace(spec, metric=name)
 
+    @pytest.mark.parametrize("field", ["vocab_size", "seq_len", "train_size",
+                                       "val_size", "num_labels", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 40.0, True, "40"])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(TaskSpecError, match=field):
+            dataclasses.replace(SINGLE, **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = dataclasses.replace(PAIR, train_size=np.int64(12), val_size=np.int32(4),
+                                   seed=np.uint16(3))
+        train, val = generate_task(spec)
+        assert (len(train), len(val)) == (12, 4)
+
     @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -0.1])
     def test_non_finite_or_negative_noise_rejected(self, noise_std):
         with pytest.raises(TaskSpecError, match="noise_std"):
