@@ -72,13 +72,12 @@ class CompatibilityError(SpafitError, ValueError):
     """Adapter file does not match the target store's configuration."""
 
 
-def _check_int(value, name: str, error: type[SpafitError]) -> None:
-    """Raise ``error`` unless ``value`` is an integer other than a bool;
-    ``operator.index`` decides, so numpy integers pass."""
+def _check_int(value, name: str, error: type[SpafitError]) -> int:
+    """``value`` as a plain ``int``; raise ``error`` unless it is an integer
+    other than a bool. ``operator.index`` decides, so numpy integers pass."""
     if not isinstance(value, bool):
         try:
-            operator.index(value)
-            return
+            return operator.index(value)
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")

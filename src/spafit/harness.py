@@ -101,7 +101,9 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
               train_records: list[DatasetRecord], val_records: list[DatasetRecord],
               cfg: TrainConfig) -> RunResult:
     """Minibatch AdamW over the plan's trainables, then a validation pass.
-    A ``cfg`` without a learning rate trains at the plan's default."""
+    A ``cfg`` without a learning rate trains at the plan's default. The run
+    holds one step's graph and gradients at a time, and returns the store
+    without gradients."""
     _check_head(store, task_spec)
     if not train_records:
         raise InputError("train_run needs at least one training record")
@@ -123,18 +125,21 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
+            # Cleared before the forward, so no step's gradients live on
+            # beside the next step's graph; backward frees the graph itself.
+            optimizer.zero_grad()
             idx = order[start:start + cfg.batch_size]
             loss = _batch_loss(store, task_spec, tokens[idx], types[idx],
                                labels[idx], rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDivergedError(step, value)
-            optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             losses.append(value)
             step += 1
         epoch_losses.append(float(np.mean(losses)))
+    optimizer.zero_grad()  # the returned store holds no gradients
 
     name, value = evaluate(store, task_spec, val_records)
     return RunResult(

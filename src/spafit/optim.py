@@ -51,7 +51,7 @@ class TrainConfig:
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
         for name in ("batch_size", "epochs", "seed"):
-            _check_int(getattr(self, name), name, ConfigError)
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, ConfigError))
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

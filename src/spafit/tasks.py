@@ -59,7 +59,7 @@ class TaskSpec:
         if self.kind not in TASK_KINDS:
             raise TaskSpecError(f"unknown task kind {self.kind!r}")
         for name in ("vocab_size", "seq_len", "train_size", "val_size", "num_labels", "seed"):
-            _check_int(getattr(self, name), name, TaskSpecError)
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, TaskSpecError))
         if self.seed < 0:
             raise TaskSpecError(f"task seed must be >= 0, got {self.seed}")
         if self.train_size < 1 or self.val_size < 1:

@@ -4,7 +4,11 @@ Every operation returns a new ``Tensor`` that remembers its operands and a
 closure computing the local vector-Jacobian product. ``backward`` walks the
 resulting DAG once in reverse topological order and accumulates gradients
 additively into every node that requires them, so fan-out is handled by
-plain addition.
+plain addition. It consumes the graph as it goes: each interior node lets go
+of its operands and its closure (and with them the arrays the closure saved)
+as soon as its own closure has run, so a second backward through the graph,
+or through a new op over one of its nodes, raises ``GraphError``. Leaves
+keep their gradients.
 """
 
 from __future__ import annotations
@@ -517,8 +521,18 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 # -- backward pass -----------------------------------------------------------
 
 
+_CONSUMED = ("backward already ran through this graph and freed it; "
+             "build the graph again with a new forward")
+
+
+def _consumed(g: np.ndarray) -> None:
+    """The closure of every interior node that a backward pass has run through."""
+    raise GraphError(_CONSUMED)
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order over the subgraph that requires gradients."""
+    """Iterative post-order over the subgraph that requires gradients; raises
+    ``GraphError`` on a node an earlier backward consumed."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -529,6 +543,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._backward_fn is _consumed:
+            raise GraphError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -540,8 +556,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate gradients of every grad-requiring leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar. Interior gradients are discarded after use;
-    leaf gradients accumulate until explicitly cleared.
+    ``loss`` must be a scalar. The graph is consumed: nodes are taken in
+    reverse topological order, and once a node's closure has run the node
+    drops its parents, its gradient and its closure, which a stub raising
+    ``GraphError`` replaces; so the arrays the closure saved are freed
+    before the pass reaches the node's operands. A second backward through
+    any consumed node raises ``GraphError`` before a closure runs. Leaves
+    are left as they are, and their gradients accumulate until explicitly
+    cleared.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -549,8 +571,11 @@ def backward(loss: Tensor) -> None:
         return
     order = _topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
-        if node._parents:
-            node.grad = None  # free interior grads; leaves keep theirs
+        if node._parents:  # interior: free it; leaves keep their grads
+            node.grad = None
+            node._parents = ()
+            node._backward_fn = _consumed

@@ -1,11 +1,14 @@
 """Training harness: determinism, zero-epoch base case, comparisons."""
 
 import dataclasses
+import json
+import weakref
 
 import numpy as np
 import pytest
 
 import spafit as sp
+import spafit.harness as harness
 import spafit.tensor as T
 from spafit.errors import InputError, TrainingDivergedError
 from spafit.harness import compare_configs, evaluate, predict, train_run
@@ -140,6 +143,54 @@ class TestTrainRun:
                            sp.TrainConfig(learning_rate=2e-3, epochs=2, seed=0))
         assert result.metric_name == "pearson"
         assert -1.0 <= result.metric_value <= 1.0
+
+    def test_one_step_of_graph_and_gradients_lives_at_a_time(self, datasets, monkeypatch):
+        """Each train-mode forward starts with the previous step's graph freed
+        (its logits array is gone) and no gradient held; the returned store
+        holds no gradient."""
+        train, val = datasets
+        store = sp.build_model(MODEL_CFG, seed=3)
+        plan = sp.compile_plan(sp.parse_plan_spec("fulllora-II"), MODEL_CFG)
+        sp.attach_lora(store, plan, seed=3)
+        trainables = list(store.trainable_parameters().values())
+        kept, seen = [], []
+        forward = harness.model_forward
+
+        def watched(*args, **kwargs):
+            train_mode = kwargs.get("mode") == "train"
+            if train_mode:
+                seen.append((sum(ref() is not None for ref in kept),
+                             sum(t.grad is not None for t in trainables)))
+            logits = forward(*args, **kwargs)
+            if train_mode:
+                kept.append(weakref.ref(logits.data))
+            return logits
+
+        monkeypatch.setattr(harness, "model_forward", watched)
+        train_run(store, plan, TASK, train, val,
+                  sp.TrainConfig(learning_rate=1e-3, batch_size=32, epochs=2, seed=9))
+        assert seen == [(0, 0)] * 10  # 160 records in batches of 32, twice
+        held = [t for t in store.params.values() if t.grad is not None]
+        held += [t for pair in store.lora.values() for t in (pair.down, pair.up)
+                 if t.grad is not None]
+        assert held == []
+
+    def test_numpy_integer_settings_give_a_json_ready_result(self):
+        i = np.int64
+        task = TaskSpec(kind="pair_classification", vocab_size=i(40), seq_len=i(9),
+                        train_size=i(32), val_size=i(16), seed=i(5))
+        cfg = sp.TrainConfig(learning_rate=1e-3, batch_size=i(16), epochs=i(1), seed=i(3))
+        for spec, names in ((task, ("vocab_size", "seq_len", "train_size", "val_size",
+                                    "num_labels", "seed")),
+                            (cfg, ("batch_size", "epochs", "seed"))):
+            for name in names:
+                assert type(getattr(spec, name)) is int, name
+        train, val = generate_task(task)
+        _, result = fresh_run(cfg, datasets=(train, val), task=task)
+        record = json.loads(json.dumps(result.to_dict()))
+        assert record["seed"] == 3 and type(result.seed) is int
+        for name in ("batch_size", "epochs"):
+            assert type(result.hyperparameters[name]) is int, name
 
 
 class TestPredict:

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy
 import spafit.tensor as T
 from spafit.errors import GraphError, InputError, ShapeError, SpafitError
 from spafit.tensor import Tensor
+from test_model import reachable
 
 
 class TestMatmul:
@@ -316,6 +318,86 @@ class TestBackward:
         T.tensor_sum(T.mul(x, frozen)).backward()
         assert frozen.grad is None
         np.testing.assert_array_equal(x.grad, [2.0])
+
+
+class TestConsumedGraph:
+    """``backward`` frees the graph as it goes and refuses to run through it
+    again."""
+
+    @staticmethod
+    def small_net():
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        gamma = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(rng.standard_normal((5, 4)))
+        h = T.gelu(T.linear(x, w, b))
+        logits = T.add(T.layer_norm(h, gamma, Tensor(np.zeros(3))), h)  # fan-out on h
+        loss = T.cross_entropy(logits, np.array([0, 1, 2, 0, 1]))
+        return (w, b, gamma), logits, loss
+
+    def test_interior_nodes_are_released_and_leaves_kept(self):
+        leaves, _, loss = self.small_net()
+        nodes = reachable(loss)
+        interior = [n for n in nodes if n._parents]
+        assert len(interior) == 5
+        loss.backward()
+        for node in interior:
+            assert node._parents == () and node._backward_fn is T._consumed, node
+            assert node.grad is None
+        for leaf in leaves:
+            assert leaf._parents == () and leaf._backward_fn is None
+            assert leaf.grad is not None
+
+    def test_second_backward_raises_before_any_closure_runs(self):
+        leaves, _, loss = self.small_net()
+        loss.backward()
+        grads = [t.grad for t in leaves]
+        with pytest.raises(GraphError, match="already ran"):
+            loss.backward()
+        for t, g in zip(leaves, grads):
+            assert t.grad is g
+
+    def test_new_op_over_a_kept_node_raises(self):
+        (w, _, _), logits, loss = self.small_net()
+        loss.backward()
+        held = w.grad
+        fresh = Tensor([1.0], requires_grad=True)
+        with pytest.raises(GraphError, match="already ran"):
+            T.add(T.tensor_sum(T.scale(logits, 2.0)), T.tensor_sum(fresh)).backward()
+        assert w.grad is held and fresh.grad is None
+
+    def test_consumed_closure_raises_when_called(self):
+        _, logits, loss = self.small_net()
+        loss.backward()
+        with pytest.raises(GraphError):
+            logits._backward_fn(np.ones(logits.shape))
+
+    def test_leaf_passed_straight_to_backward_is_left_as_it_is(self):
+        x = Tensor(2.0, requires_grad=True)
+        T.backward(x)
+        np.testing.assert_array_equal(x.grad, 1.0)
+        T.backward(x)  # nothing was consumed
+        assert x._parents == () and x._backward_fn is None
+
+    def test_node_is_freed_before_its_operands_backward_runs(self):
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        y = T.scale(x, 2.0)
+        z = T.tanh(y)  # its value is also the array its closure saves
+        loss = T.tensor_sum(z)
+        saved = weakref.ref(z.data)
+        del z
+        saved_alive_at_y = []
+        y_backward = y._backward_fn
+
+        def watched(g):
+            saved_alive_at_y.append(saved() is not None)
+            y_backward(g)
+
+        y._backward_fn = watched
+        loss.backward()
+        assert saved_alive_at_y == [False]
+        np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0 * x.data) ** 2))
 
 
 class TestNoGrad:
