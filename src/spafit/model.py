@@ -164,6 +164,9 @@ class ParamStore:
         self.lora: dict[str, LoraPair] = {}
         # Values of base tensors before an adapter swap first overwrote them.
         self.swapped_base: dict[str, np.ndarray] = {}
+        # Plans (``plan.FinetunePlan``) compiled from the specs swapped
+        # adapters record, by spec text: a pure function of it and the config.
+        self.swap_plans: dict[str, object] = {}
 
     def paths(self) -> list[str]:
         return list(self.params)
@@ -203,7 +206,8 @@ def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...], std: floa
     while idx.size:  # redraw in C order, then re-check only the redrawn entries
         flat[idx] = rng.standard_normal(idx.size)
         idx = idx[np.abs(flat[idx]) > 2.0]
-    return x * std
+    x *= std
+    return x
 
 
 def build_model(config: ModelConfig, seed: int) -> ParamStore:

@@ -403,7 +403,8 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
     The file is checked before the store changes. Base values an earlier
     swap overwrote are put back first, so the store ends as what it held
     before its first swap plus this adapter. Returns the plan now governing
-    the store.
+    the store, compiled on the first swap of its spec and kept in
+    ``store.swap_plans`` for later ones.
     """
     header, tensors = read_container(adapter_path)
     if header.get("kind") != "adapter":
@@ -416,7 +417,11 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
             f"configured {store.config}")
     if header.get("plan_spec") is None:
         raise CheckpointFormatError(f"{adapter_path}: adapter records no plan spec")
-    plan = recorded_plan(adapter_path, header["plan_spec"], store.config)
+    spec_text = header["plan_spec"]
+    plan = store.swap_plans.get(spec_text)
+    if plan is None:
+        plan = recorded_plan(adapter_path, spec_text, store.config)
+        store.swap_plans[spec_text] = plan
     owned = trainable_shapes(plan)
     check_tensors(adapter_path, tensors, owned)
 

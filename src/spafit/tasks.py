@@ -19,11 +19,34 @@ desk scale.
 
 Token ids 0/1/2 are reserved for PAD/CLS/SEP; content ids start at 3.
 Everything is deterministic in the task seed.
+
+Data contract. One ``np.random.default_rng(seed)`` draws the training
+records, then the validation records. With n (single) or n_a, n_b (pair)
+the segment lengths, each record makes these generator calls, in order:
+
+  single    integers(num_labels) for the label; integers(3 + num_labels,
+            vocab_size, size=n) for the filler; integers(1, min(3, n) + 1)
+            for the marker count c; choice(n, size=c, replace=False) for
+            the marker positions
+  pair      integers(2) (classification: 1 shares all n_b tokens, 0 none)
+            or integers(0, n_b + 1) (regression) for the shared count s;
+            integers(3, d, size=n_a) for the first segment, d the first
+            distractor id; if s > 0, choice(n_b, size=s, replace=False)
+            for the shared positions, then integers(n_a, size=s) for which
+            first-segment tokens fill them, in ascending position order; if
+            s < n_b, integers(d, vocab_size, size=n_b - s) for the other
+            positions; regression then draws normal(0.0, noise_std)
+
+A draw of size 0 consumes nothing, so it is not made. Labels come from the
+planted rule. ``tests/test_tasks.py`` keeps the first implementation, one
+``choice`` per draw, as a reference, and pins every record and the final
+generator state to it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,55 +151,89 @@ def _marker_id(spec: TaskSpec, label: int) -> int:
     return FIRST_CONTENT_ID + label
 
 
-def _single_record(spec: TaskSpec, rng: np.random.Generator) -> DatasetRecord:
+# Each maker below reads its spec's constants once and returns a function
+# that draws one record from the stream. The draws, their order and their
+# sizes are the data contract of the module docstring.
+
+
+def _single_maker(spec: TaskSpec) -> Callable[[np.random.Generator], DatasetRecord]:
     n, _ = spec.segment_lengths()
-    label = int(rng.integers(spec.num_labels))
-    filler_lo = FIRST_CONTENT_ID + spec.num_labels
-    tokens = rng.integers(filler_lo, spec.vocab_size, size=n)
-    copies = int(rng.integers(1, min(3, n) + 1))
-    where = rng.choice(n, size=copies, replace=False)
-    tokens[where] = _marker_id(spec, label)
-    return DatasetRecord(text_a=tokens.tolist(), text_b=None, label=label)
+    num_labels, vocab_size = spec.num_labels, spec.vocab_size
+    filler_lo = FIRST_CONTENT_ID + num_labels
+    copies_hi = min(3, n) + 1
+
+    def make(rng: np.random.Generator) -> DatasetRecord:
+        label = int(rng.integers(num_labels))
+        tokens = rng.integers(filler_lo, vocab_size, size=n)
+        copies = int(rng.integers(1, copies_hi))
+        tokens[rng.choice(n, size=copies, replace=False)] = _marker_id(spec, label)
+        return DatasetRecord(text_a=tokens.tolist(), text_b=None, label=label)
+
+    return make
 
 
-def _content_pools(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Topic pool (first segments, shared tokens) and distractor pool."""
-    content = np.arange(FIRST_CONTENT_ID, spec.vocab_size)
-    half = len(content) // 2
-    return content[:half], content[half:]
-
-
-def _pair_segments(spec: TaskSpec, rng: np.random.Generator,
-                   shared: int) -> tuple[list[int], list[int]]:
-    """First segment from the topic pool; ``shared`` of the second's tokens
-    reuse it, the rest come from the distractor pool."""
+def _pair_segments_maker(spec: TaskSpec) -> Callable[[np.random.Generator, int],
+                                                     tuple[list[int], list[int]]]:
+    """First segment from the topic pool (the lower half of the content
+    ids); ``shared`` of the second's tokens reuse it, at positions drawn
+    without replacement, and the rest come from the distractor pool (the
+    upper half)."""
     n_a, n_b = spec.segment_lengths()
-    topic, distractor = _content_pools(spec)
-    a = rng.choice(topic, size=n_a, replace=True)
-    b = np.empty(n_b, dtype=np.int64)
-    from_a = rng.choice(np.arange(n_b), size=shared, replace=False)
-    mask = np.zeros(n_b, dtype=bool)
-    mask[from_a] = True
-    b[mask] = rng.choice(a, size=shared, replace=True)
-    b[~mask] = rng.choice(distractor, size=n_b - shared, replace=True)
-    return a.tolist(), b.tolist()
+    vocab_size = spec.vocab_size
+    distractor_lo = FIRST_CONTENT_ID + (vocab_size - FIRST_CONTENT_ID) // 2
+
+    def segments(rng: np.random.Generator, shared: int) -> tuple[list[int], list[int]]:
+        a = rng.integers(FIRST_CONTENT_ID, distractor_lo, size=n_a)
+        if not shared:
+            return a.tolist(), rng.integers(distractor_lo, vocab_size, size=n_b).tolist()
+        where = rng.choice(n_b, size=shared, replace=False)
+        reused = a[rng.integers(n_a, size=shared)]
+        if shared == n_b:
+            return a.tolist(), reused.tolist()
+        # reused tokens fill the drawn positions in ascending position order
+        mask = np.zeros(n_b, dtype=bool)
+        mask[where] = True
+        b = np.empty(n_b, dtype=np.int64)
+        b[mask] = reused
+        b[~mask] = rng.integers(distractor_lo, vocab_size, size=n_b - shared)
+        return a.tolist(), b.tolist()
+
+    return segments
 
 
-def _pair_classification_record(spec: TaskSpec, rng: np.random.Generator) -> DatasetRecord:
+def _pair_classification_maker(spec: TaskSpec) -> Callable[[np.random.Generator],
+                                                           DatasetRecord]:
     _, n_b = spec.segment_lengths()
-    positive = bool(rng.integers(2))
-    a, b = _pair_segments(spec, rng, shared=n_b if positive else 0)
-    label = int(overlap_coefficient(a, b) >= OVERLAP_THRESHOLD)
-    return DatasetRecord(text_a=a, text_b=b, label=label)
+    segments = _pair_segments_maker(spec)
+
+    def make(rng: np.random.Generator) -> DatasetRecord:
+        a, b = segments(rng, n_b if rng.integers(2) else 0)
+        label = int(overlap_coefficient(a, b) >= OVERLAP_THRESHOLD)
+        return DatasetRecord(text_a=a, text_b=b, label=label)
+
+    return make
 
 
-def _pair_regression_record(spec: TaskSpec, rng: np.random.Generator) -> DatasetRecord:
+def _pair_regression_maker(spec: TaskSpec) -> Callable[[np.random.Generator],
+                                                       DatasetRecord]:
     _, n_b = spec.segment_lengths()
-    shared = int(rng.integers(0, n_b + 1))
-    a, b = _pair_segments(spec, rng, shared=shared)
+    segments = _pair_segments_maker(spec)
+    noise_std = spec.noise_std
     lo, hi = SCORE_RANGE
-    score = hi * overlap_coefficient(a, b) + rng.normal(0.0, spec.noise_std)
-    return DatasetRecord(text_a=a, text_b=b, label=float(np.clip(score, lo, hi)))
+
+    def make(rng: np.random.Generator) -> DatasetRecord:
+        a, b = segments(rng, int(rng.integers(0, n_b + 1)))
+        score = hi * overlap_coefficient(a, b) + rng.normal(0.0, noise_std)
+        return DatasetRecord(text_a=a, text_b=b, label=min(max(score, lo), hi))
+
+    return make
+
+
+_MAKERS = {
+    SINGLE_CLASSIFICATION: _single_maker,
+    PAIR_CLASSIFICATION: _pair_classification_maker,
+    PAIR_REGRESSION: _pair_regression_maker,
+}
 
 
 def planted_rule_label(spec: TaskSpec, record: DatasetRecord) -> int | float:
@@ -192,15 +249,13 @@ def planted_rule_label(spec: TaskSpec, record: DatasetRecord) -> int | float:
 
 
 def generate_task(spec: TaskSpec) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
-    """Deterministic (train, validation) split for ``spec``."""
+    """Deterministic (train, validation) split for ``spec``: one generator
+    seeded with the task seed draws the training records, then the
+    validation records."""
     rng = np.random.default_rng(spec.seed)
-    make = {
-        SINGLE_CLASSIFICATION: _single_record,
-        PAIR_CLASSIFICATION: _pair_classification_record,
-        PAIR_REGRESSION: _pair_regression_record,
-    }[spec.kind]
-    train = [make(spec, rng) for _ in range(spec.train_size)]
-    val = [make(spec, rng) for _ in range(spec.val_size)]
+    make = _MAKERS[spec.kind](spec)
+    train = [make(rng) for _ in range(spec.train_size)]
+    val = [make(rng) for _ in range(spec.val_size)]
     return train, val
 
 

@@ -563,14 +563,14 @@ def backward(loss: Tensor) -> None:
     before the pass reaches the node's operands. A second backward through
     any consumed node raises ``GraphError`` before a closure runs. Leaves
     are left as they are, and their gradients accumulate until explicitly
-    cleared.
+    cleared; a leaf passed as ``loss`` gains ones like any other route.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
-    loss.grad = np.ones_like(loss.data)
+    loss._accumulate(np.ones_like(loss.data))
     while order:
         node = order.pop()
         if node._backward_fn is not None and node.grad is not None:

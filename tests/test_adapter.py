@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import spafit.plan as plan_module
 import spafit.tensor as T
 from spafit.checkpoint import read_container, save_checkpoint, write_container
 from spafit.cli import main
@@ -311,6 +312,23 @@ class TestSwapAcrossPlans:
                 np.testing.assert_array_equal(
                     model_forward(store, tokens, types, mode="eval").data, logits,
                     err_msg=context)
+
+    def test_second_swap_of_a_file_compiles_nothing(self, swap_adapters, monkeypatch):
+        compiled = []
+
+        def compile_spy(spec, config, real=plan_module.compile_plan):
+            compiled.append(str(spec))
+            return real(spec, config)
+
+        monkeypatch.setattr(plan_module, "compile_plan", compile_spy)
+        store = build_model(SWAP_CFG, seed=4)
+        path = swap_adapters["spafit:N1=1,N2=2,mode=II"]
+        first = swap_adapter(store, path)
+        assert compiled == ["spafit:N1=1,N2=2,mode=II"]
+        swap_adapter(store, swap_adapters["fullbitfit"])
+        compiled.clear()
+        assert swap_adapter(store, path) is first
+        assert compiled == []
 
     @pytest.mark.parametrize("bad_shape", [(1,), (5,)])
     def test_wrong_shape_rejected_before_store_changes(self, swap_adapters, bad_shape,

@@ -8,7 +8,14 @@ import pytest
 from spafit.errors import TaskSpecError
 from spafit.tasks import (
     CLS_ID,
+    FIRST_CONTENT_ID,
+    OVERLAP_THRESHOLD,
+    PAIR_CLASSIFICATION,
+    PAIR_REGRESSION,
+    SCORE_RANGE,
     SEP_ID,
+    SINGLE_CLASSIFICATION,
+    DatasetRecord,
     TaskSpec,
     encode_batch,
     generate_task,
@@ -28,6 +35,130 @@ SINGLE_3 = dataclasses.replace(SINGLE, num_labels=3)
 # The metrics each task may name; the first is its default.
 LEGAL_METRICS = [(PAIR, ("accuracy", "f1", "mcc")), (SINGLE, ("accuracy", "f1", "mcc")),
                  (SINGLE_3, ("accuracy",)), (REGRESSION, ("pearson",))]
+
+
+# -- reference generator ------------------------------------------------------
+# The record makers as first written, one numpy call per draw and nothing
+# computed ahead. generate_task must reproduce every record and the final
+# generator state of this reference; it pins the data contract.
+
+
+def _ref_marker_id(spec, label):
+    return FIRST_CONTENT_ID + label
+
+
+def _ref_single_record(spec, rng):
+    n, _ = spec.segment_lengths()
+    label = int(rng.integers(spec.num_labels))
+    filler_lo = FIRST_CONTENT_ID + spec.num_labels
+    tokens = rng.integers(filler_lo, spec.vocab_size, size=n)
+    copies = int(rng.integers(1, min(3, n) + 1))
+    where = rng.choice(n, size=copies, replace=False)
+    tokens[where] = _ref_marker_id(spec, label)
+    return DatasetRecord(text_a=tokens.tolist(), text_b=None, label=label)
+
+
+def _ref_content_pools(spec):
+    content = np.arange(FIRST_CONTENT_ID, spec.vocab_size)
+    half = len(content) // 2
+    return content[:half], content[half:]
+
+
+def _ref_pair_segments(spec, rng, shared):
+    n_a, n_b = spec.segment_lengths()
+    topic, distractor = _ref_content_pools(spec)
+    a = rng.choice(topic, size=n_a, replace=True)
+    b = np.empty(n_b, dtype=np.int64)
+    from_a = rng.choice(np.arange(n_b), size=shared, replace=False)
+    mask = np.zeros(n_b, dtype=bool)
+    mask[from_a] = True
+    b[mask] = rng.choice(a, size=shared, replace=True)
+    b[~mask] = rng.choice(distractor, size=n_b - shared, replace=True)
+    return a.tolist(), b.tolist()
+
+
+def _ref_pair_classification_record(spec, rng):
+    _, n_b = spec.segment_lengths()
+    positive = bool(rng.integers(2))
+    a, b = _ref_pair_segments(spec, rng, shared=n_b if positive else 0)
+    label = int(overlap_coefficient(a, b) >= OVERLAP_THRESHOLD)
+    return DatasetRecord(text_a=a, text_b=b, label=label)
+
+
+def _ref_pair_regression_record(spec, rng):
+    _, n_b = spec.segment_lengths()
+    shared = int(rng.integers(0, n_b + 1))
+    a, b = _ref_pair_segments(spec, rng, shared=shared)
+    lo, hi = SCORE_RANGE
+    score = hi * overlap_coefficient(a, b) + rng.normal(0.0, spec.noise_std)
+    return DatasetRecord(text_a=a, text_b=b, label=float(np.clip(score, lo, hi)))
+
+
+def reference_generate_task(spec):
+    """(train, validation, final generator state) of the reference makers."""
+    rng = np.random.default_rng(spec.seed)
+    make = {
+        SINGLE_CLASSIFICATION: _ref_single_record,
+        PAIR_CLASSIFICATION: _ref_pair_classification_record,
+        PAIR_REGRESSION: _ref_pair_regression_record,
+    }[spec.kind]
+    train = [make(spec, rng) for _ in range(spec.train_size)]
+    val = [make(spec, rng) for _ in range(spec.val_size)]
+    return train, val, rng.bit_generator.state
+
+
+# Each kind at its smallest seq_len and vocab_size (no smaller spec is valid).
+MINIMAL_SPECS = [
+    TaskSpec(SINGLE_CLASSIFICATION, 7, 3, 30, 10, seed=0),
+    TaskSpec(SINGLE_CLASSIFICATION, 8, 3, 30, 10, seed=0, num_labels=3),
+    TaskSpec(PAIR_CLASSIFICATION, 5, 5, 30, 10, seed=0),
+    TaskSpec(PAIR_REGRESSION, 5, 5, 30, 10, seed=0),
+]
+ORACLE_SPECS = MINIMAL_SPECS + [
+    TaskSpec(SINGLE_CLASSIFICATION, 40, 11, 30, 10, seed=0),
+    TaskSpec(SINGLE_CLASSIFICATION, 40, 12, 30, 10, seed=0, num_labels=3),
+    TaskSpec(PAIR_CLASSIFICATION, 11, 11, 30, 10, seed=0),
+    TaskSpec(PAIR_CLASSIFICATION, 40, 11, 30, 10, seed=0),
+    TaskSpec(PAIR_CLASSIFICATION, 128, 8, 30, 10, seed=0),
+    TaskSpec(PAIR_REGRESSION, 11, 11, 30, 10, seed=0, noise_std=0.0),
+    TaskSpec(PAIR_REGRESSION, 40, 11, 30, 10, seed=0),
+    TaskSpec(PAIR_REGRESSION, 60, 19, 30, 10, seed=0, noise_std=2.0),
+]
+ORACLE_SEEDS = range(20)
+
+
+def _record_bits(record):
+    """A record with its label's type and exact value (repr keeps -0.0)."""
+    return (record.text_a, record.text_b, type(record.label), repr(record.label))
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS,
+                             ids=lambda s: f"{s.kind}-v{s.vocab_size}-s{s.seq_len}-"
+                                           f"l{s.num_labels}-n{s.noise_std}")
+    def test_every_record_and_final_state_match_the_reference(self, spec, monkeypatch):
+        generators = []
+
+        def default_rng(seed, real=np.random.default_rng):
+            generators.append(real(seed))
+            return generators[-1]
+
+        for seed in ORACLE_SEEDS:
+            spec = dataclasses.replace(spec, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", default_rng)
+                train, val = generate_task(spec)
+            ref_train, ref_val, ref_state = reference_generate_task(spec)
+            assert [_record_bits(r) for r in train] == [_record_bits(r) for r in ref_train]
+            assert [_record_bits(r) for r in val] == [_record_bits(r) for r in ref_val]
+            assert len(generators) == seed + 1
+            assert generators[-1].bit_generator.state == ref_state
+
+    @pytest.mark.parametrize("spec", MINIMAL_SPECS, ids=lambda s: f"{s.kind}-l{s.num_labels}")
+    @pytest.mark.parametrize("field", ["seq_len", "vocab_size"])
+    def test_minimal_specs_are_minimal(self, spec, field):
+        with pytest.raises(TaskSpecError):
+            dataclasses.replace(spec, **{field: getattr(spec, field) - 1})
 
 
 class TestDeterminism:

@@ -285,6 +285,12 @@ class TestBackward:
         T.tensor_sum(x).backward()
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
+    def test_backward_on_a_leaf_adds_to_its_gradient(self):
+        x = Tensor(2.0, requires_grad=True)
+        T.tensor_sum(T.scale(x, 3.0)).backward()
+        T.backward(x)
+        np.testing.assert_array_equal(x.grad, 4.0)
+
     def test_operands_sharing_an_upstream_gradient_accumulate_apart(self):
         a = Tensor([1.0], requires_grad=True)
         b = Tensor([2.0], requires_grad=True)
