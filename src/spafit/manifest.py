@@ -17,7 +17,7 @@ from .errors import ManifestError
 from .model import ModelConfig
 from .optim import TrainConfig
 from .plan import PlanSpec, parse_plan_spec
-from .tasks import TaskSpec
+from .tasks import SINGLE_CLASSIFICATION, TaskSpec
 
 _MODEL_KEYS = {
     "num_layers": int, "hidden_size": int, "num_heads": int, "ffn_size": int,
@@ -113,10 +113,11 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
     """Parse and validate a manifest; ``overrides`` wins over file values.
 
     Recognized override keys: spec, seed (train seed), learning_rate,
-    batch_size, epochs, out_dir; any other key is ignored. An unset learning
-    rate stays None, so each trained plan uses its own default.
+    batch_size, epochs, out_dir; any other key is ignored. An override that
+    is not None is used, even an empty one. An unset learning rate stays
+    None, so each trained plan uses its own default.
     """
-    overrides = overrides or {}
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
     sections = _parse_sections(path)
 
     model = _convert("model", sections["model"])
@@ -124,18 +125,15 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
     if model_seed < 0:
         raise ManifestError(f"model seed must be >= 0, got {model_seed}")
 
-    plan_text = overrides.get("spec") or sections["plan"]["spec"]
-    plan_spec = parse_plan_spec(plan_text)
+    plan_spec = parse_plan_spec(overrides.get("spec", sections["plan"]["spec"]))
 
     task_spec = TaskSpec(**_convert("task", sections["task"]))
 
     train_raw = _convert("train", sections.get("train", {}))
     betas = (train_raw.pop("beta1", 0.9), train_raw.pop("beta2", 0.999))
-    for key in ("learning_rate", "batch_size", "epochs"):
-        if overrides.get(key) is not None:
+    for key in ("learning_rate", "batch_size", "epochs", "seed"):
+        if key in overrides:
             train_raw[key] = overrides[key]
-    if overrides.get("seed") is not None:
-        train_raw["seed"] = overrides["seed"]
     try:
         train_config = TrainConfig(betas=betas, **train_raw)
         model_config = ModelConfig(num_labels=task_spec.model_num_labels, **model)
@@ -151,9 +149,14 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifes
         raise ManifestError(
             f"[task] seq_len {task_spec.seq_len} exceeds [model] max_positions "
             f"{model_config.max_positions}: the model cannot embed the task's positions")
+    if task_spec.kind != SINGLE_CLASSIFICATION and model_config.type_vocab_size < 2:
+        raise ManifestError(
+            f"[model] type_vocab_size {model_config.type_vocab_size} is below 2: a pair "
+            f"task's second segment has type id 1")
 
-    out_dir = Path(overrides.get("out_dir")
-                   or sections.get("outputs", {}).get("out_dir", "runs"))
+    out_dir = overrides.get("out_dir", sections.get("outputs", {}).get("out_dir", "runs"))
+    if not out_dir:
+        raise ManifestError("out_dir must not be empty")
     return RunManifest(model_config=model_config, model_seed=model_seed,
                        plan_spec=plan_spec, train_config=train_config,
-                       task_spec=task_spec, out_dir=out_dir)
+                       task_spec=task_spec, out_dir=Path(out_dir))

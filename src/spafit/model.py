@@ -32,6 +32,7 @@ from .errors import (
     InputError,
     ShapeError,
     UnknownTensorError,
+    _check_int,
 )
 from .tensor import Tensor
 
@@ -55,14 +56,14 @@ class ModelConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if type(self.num_layers) is not int or self.num_layers < 0:
-            raise ConfigError(f"num_layers must be an int >= 0, got {self.num_layers!r}")
-        for name in ("hidden_size", "num_heads", "ffn_size", "vocab_size",
+        for name in ("num_layers", "hidden_size", "num_heads", "ffn_size", "vocab_size",
                      "max_positions", "type_vocab_size", "num_labels",
                      "lora_rank", "lora_alpha"):
-            value = getattr(self, name)
-            if type(value) is not int or value <= 0:
-                raise ConfigError(f"{name} must be a positive int, got {value!r}")
+            value = _check_int(getattr(self, name), name, ConfigError)
+            least = 0 if name == "num_layers" else 1
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         if self.hidden_size % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}")
@@ -269,9 +270,9 @@ def encoder_layer_forward(store: ParamStore, layer: int, x: Tensor, mode: str = 
     if len(draw) != 3 or draw[0] != batch or draw[1] < q_len or draw[2] != cfg.hidden_size:
         raise ShapeError(f"encoder layer context must be [{batch}, >= {q_len}, "
                          f"{cfg.hidden_size}], got {draw}")
-    if not isinstance(layer, (int, np.integer)) or not 0 <= layer < cfg.num_layers:
-        raise InputError(f"layer index must be an int in [0, {cfg.num_layers}), "
-                         f"got {layer!r}")
+    layer = _check_int(layer, "layer index", InputError)
+    if not 0 <= layer < cfg.num_layers:
+        raise InputError(f"layer index must lie in [0, {cfg.num_layers}), got {layer}")
     p = cfg.dropout_p
     base = f"encoder.layer.{layer}"
 

@@ -40,7 +40,8 @@ the segment lengths, each record makes these generator calls, in order:
 A draw of size 0 consumes nothing, so it is not made. Labels come from the
 planted rule. ``tests/test_tasks.py`` keeps the first implementation, one
 ``choice`` per draw, as a reference, and pins every record and the final
-generator state to it.
+generator state to it. One maker makes single records and one makes both
+pair kinds, which differ only in the draw of s and in the label.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def overlap_coefficient(a: list[int], b: list[int]) -> float:
     return len(sa & sb) / min(len(sa), len(sb))
 
 
-def _marker_id(spec: TaskSpec, label: int) -> int:
+def _marker_id(label: int) -> int:
     return FIRST_CONTENT_ID + label
 
 
@@ -166,81 +167,58 @@ def _single_maker(spec: TaskSpec) -> Callable[[np.random.Generator], DatasetReco
         label = int(rng.integers(num_labels))
         tokens = rng.integers(filler_lo, vocab_size, size=n)
         copies = int(rng.integers(1, copies_hi))
-        tokens[rng.choice(n, size=copies, replace=False)] = _marker_id(spec, label)
+        tokens[rng.choice(n, size=copies, replace=False)] = _marker_id(label)
         return DatasetRecord(text_a=tokens.tolist(), text_b=None, label=label)
 
     return make
 
 
-def _pair_segments_maker(spec: TaskSpec) -> Callable[[np.random.Generator, int],
-                                                     tuple[list[int], list[int]]]:
-    """First segment from the topic pool (the lower half of the content
-    ids); ``shared`` of the second's tokens reuse it, at positions drawn
-    without replacement, and the rest come from the distractor pool (the
-    upper half)."""
+def _pair_maker(spec: TaskSpec) -> Callable[[np.random.Generator], DatasetRecord]:
+    """Both pair kinds. The first segment comes from the topic pool (the
+    lower half of the content ids); ``shared`` of the second's tokens reuse
+    it, at positions drawn without replacement, and the rest come from the
+    distractor pool (the upper half). Only the draw of ``shared`` and the
+    label differ by kind."""
     n_a, n_b = spec.segment_lengths()
-    vocab_size = spec.vocab_size
+    vocab_size, noise_std = spec.vocab_size, spec.noise_std
     distractor_lo = FIRST_CONTENT_ID + (vocab_size - FIRST_CONTENT_ID) // 2
-
-    def segments(rng: np.random.Generator, shared: int) -> tuple[list[int], list[int]]:
-        a = rng.integers(FIRST_CONTENT_ID, distractor_lo, size=n_a)
-        if not shared:
-            return a.tolist(), rng.integers(distractor_lo, vocab_size, size=n_b).tolist()
-        where = rng.choice(n_b, size=shared, replace=False)
-        reused = a[rng.integers(n_a, size=shared)]
-        if shared == n_b:
-            return a.tolist(), reused.tolist()
-        # reused tokens fill the drawn positions in ascending position order
-        mask = np.zeros(n_b, dtype=bool)
-        mask[where] = True
-        b = np.empty(n_b, dtype=np.int64)
-        b[mask] = reused
-        b[~mask] = rng.integers(distractor_lo, vocab_size, size=n_b - shared)
-        return a.tolist(), b.tolist()
-
-    return segments
-
-
-def _pair_classification_maker(spec: TaskSpec) -> Callable[[np.random.Generator],
-                                                           DatasetRecord]:
-    _, n_b = spec.segment_lengths()
-    segments = _pair_segments_maker(spec)
-
-    def make(rng: np.random.Generator) -> DatasetRecord:
-        a, b = segments(rng, n_b if rng.integers(2) else 0)
-        label = int(overlap_coefficient(a, b) >= OVERLAP_THRESHOLD)
-        return DatasetRecord(text_a=a, text_b=b, label=label)
-
-    return make
-
-
-def _pair_regression_maker(spec: TaskSpec) -> Callable[[np.random.Generator],
-                                                       DatasetRecord]:
-    _, n_b = spec.segment_lengths()
-    segments = _pair_segments_maker(spec)
-    noise_std = spec.noise_std
+    regression = spec.kind == PAIR_REGRESSION
     lo, hi = SCORE_RANGE
 
     def make(rng: np.random.Generator) -> DatasetRecord:
-        a, b = segments(rng, int(rng.integers(0, n_b + 1)))
-        score = hi * overlap_coefficient(a, b) + rng.normal(0.0, noise_std)
+        if regression:
+            shared = int(rng.integers(0, n_b + 1))
+        else:
+            shared = n_b if rng.integers(2) else 0
+        a = rng.integers(FIRST_CONTENT_ID, distractor_lo, size=n_a)
+        if not shared:
+            b = rng.integers(distractor_lo, vocab_size, size=n_b)
+        else:
+            where = rng.choice(n_b, size=shared, replace=False)
+            reused = a[rng.integers(n_a, size=shared)]
+            if shared == n_b:
+                b = reused
+            else:
+                # reused tokens fill the drawn positions in ascending position order
+                mask = np.zeros(n_b, dtype=bool)
+                mask[where] = True
+                b = np.empty(n_b, dtype=np.int64)
+                b[mask] = reused
+                b[~mask] = rng.integers(distractor_lo, vocab_size, size=n_b - shared)
+        a, b = a.tolist(), b.tolist()
+        overlap = overlap_coefficient(a, b)
+        if not regression:
+            return DatasetRecord(text_a=a, text_b=b, label=int(overlap >= OVERLAP_THRESHOLD))
+        score = hi * overlap + rng.normal(0.0, noise_std)
         return DatasetRecord(text_a=a, text_b=b, label=min(max(score, lo), hi))
 
     return make
 
 
-_MAKERS = {
-    SINGLE_CLASSIFICATION: _single_maker,
-    PAIR_CLASSIFICATION: _pair_classification_maker,
-    PAIR_REGRESSION: _pair_regression_maker,
-}
-
-
 def planted_rule_label(spec: TaskSpec, record: DatasetRecord) -> int | float:
     """Re-derive the label from the planted rule alone (the Bayes predictor)."""
     if spec.kind == SINGLE_CLASSIFICATION:
-        present = [c for c in range(spec.num_labels)
-                   if _marker_id(spec, c) in record.text_a]
+        present = [c for c in range(spec.num_labels) if _marker_id(c) in record.text_a]
         return present[0] if len(present) == 1 else -1
     overlap = overlap_coefficient(record.text_a, record.text_b)
     if spec.kind == PAIR_CLASSIFICATION:
@@ -253,7 +231,7 @@ def generate_task(spec: TaskSpec) -> tuple[list[DatasetRecord], list[DatasetReco
     seeded with the task seed draws the training records, then the
     validation records."""
     rng = np.random.default_rng(spec.seed)
-    make = _MAKERS[spec.kind](spec)
+    make = (_single_maker if spec.kind == SINGLE_CLASSIFICATION else _pair_maker)(spec)
     train = [make(rng) for _ in range(spec.train_size)]
     val = [make(rng) for _ in range(spec.val_size)]
     return train, val

@@ -256,6 +256,26 @@ class TestFlagSurface:
                 m.train_config.batch_size, m.train_config.epochs) == (4, 0.5, 3, 7)
         assert m.out_dir == tmp_path / "o"
 
+    def test_empty_spec_flag_is_used(self, manifest_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train_run", _refuse_to_train)
+        assert main(["train", "--manifest", str(manifest_path), "--spec", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: unrecognized plan spec ''")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, line", [(["--out", ""], None), ([], "out_dir =")],
+                             ids=["flag", "manifest"])
+    def test_empty_out_dir_exits_2(self, tmp_path, capsys, monkeypatch, flags, line):
+        path = tmp_path / "run.manifest"
+        text = MANIFEST.format(out_dir=tmp_path / "out")
+        path.write_text(text if line is None else _set_keys(text, "outputs", line))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "generate_task", _refuse_to_generate)
+        with pytest.raises(ManifestError, match="out_dir"):
+            load_manifest(path, {"out_dir": "" if flags else None})
+        assert main(["train", "--manifest", str(path), *flags]) == 2
+        assert capsys.readouterr().err == "error: out_dir must not be empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.manifest"]
+
 
 class TestPlanCommand:
     def test_group_sizes_printed(self, bert_manifest_path, capsys):
@@ -386,6 +406,7 @@ class TestModelFitsTask:
         ("task", "vocab_size = 400", ("[task] vocab_size", "[model] vocab_size")),
         ("task", "seq_len = 17", ("[task] seq_len", "[model] max_positions")),
         ("model", "max_positions = 8", ("[task] seq_len", "[model] max_positions")),
+        ("model", "type_vocab_size = 1", ("[model] type_vocab_size", "pair task")),
     ])
     def test_train_exits_2_before_generating_data(self, tmp_path, capsys, monkeypatch,
                                                   section, line, keys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spafit.tensor as T
-from spafit.errors import InputError, ShapeError, SpafitError
+from spafit.errors import ConfigError, InputError, ShapeError, SpafitError
 from spafit.model import (
     ModelConfig,
     _linear,
@@ -139,6 +139,21 @@ class TestBuildModel:
         with pytest.raises(SpafitError, match="seed"):
             TrainConfig(seed=-1)
 
+    def test_numpy_integer_fields_accepted_as_int(self):
+        cfg = dataclasses.replace(TOY, num_layers=np.int64(2), hidden_size=np.int32(8),
+                                  type_vocab_size=np.uint8(2))
+        assert (cfg.num_layers, cfg.hidden_size, cfg.type_vocab_size) == (2, 8, 2)
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("num_layers", "hidden_size", "type_vocab_size"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_layers", True), ("num_layers", 2.0), ("hidden_size", True),
+        ("hidden_size", 8.0), ("lora_rank", False), ("num_layers", -1), ("num_heads", 0),
+    ])
+    def test_non_integer_or_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(TOY, **{field: value})
+
 
 class TestEncoderLayer:
     def test_shape_preservation(self):
@@ -157,7 +172,7 @@ class TestEncoderLayer:
         with pytest.raises(InputError, match="at least one position"):
             encoder_layer_forward(store, 0, Tensor(np.zeros((2, 0, 8))), mode="eval")
 
-    @pytest.mark.parametrize("layer", [-1, 4, 5, 1.0, "0"])
+    @pytest.mark.parametrize("layer", [-1, 4, 5, 1.0, "0", True])
     def test_layer_index_outside_the_stack_rejected(self, layer):
         store = build_model(TOY, seed=1)
         with pytest.raises(InputError, match="layer index"):
