@@ -48,8 +48,16 @@ def _load(args) -> RunManifest:
     return load_manifest(args.manifest, vars(args))
 
 
+def _path(text: str) -> Path:
+    """A path flag's value. An empty one is a usage error, not a request for
+    the flag's default."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return Path(text)
+
+
 def _checkpoint_path(args, m: RunManifest) -> Path:
-    return Path(args.model) if args.model else m.out_dir / "model.ckpt"
+    return m.out_dir / "model.ckpt" if args.model is None else args.model
 
 
 def cmd_plan(args, m: RunManifest) -> int:
@@ -143,7 +151,7 @@ def cmd_export_adapter(args, m: RunManifest) -> int:
     if plan is None:
         plan = compile_plan(m.plan_spec, store.config)
         attach_lora(store, plan, seed=m.model_seed)
-    out = Path(args.adapter) if args.adapter else m.out_dir / "adapter.bin"
+    out = m.out_dir / "adapter.bin" if args.adapter is None else args.adapter
     export_adapter(store, plan, out)
     print(f"wrote {out}", file=sys.stderr)
     return 0
@@ -153,7 +161,7 @@ def cmd_swap_adapter(args, m: RunManifest) -> int:
     ckpt = _checkpoint_path(args, m)
     store, _ = load_checkpoint_with_plan(ckpt)
     plan = swap_adapter(store, args.adapter)
-    out = Path(args.out_model) if args.out_model else ckpt
+    out = ckpt if args.out_model is None else args.out_model
     save_checkpoint(store, out, plan_spec=str(plan.spec))
     print(f"wrote {out}", file=sys.stderr)
     return 0
@@ -170,7 +178,7 @@ _FLAGS = {
                     help="override the batch size"),
     "--epochs": dict(type=int, help="override the epoch count"),
     "--out": dict(dest="out_dir", metavar="OUT", help="override the output directory"),
-    "--model": dict(help="checkpoint path (default <out>/model.ckpt)"),
+    "--model": dict(type=_path, help="checkpoint path (default <out>/model.ckpt)"),
 }
 
 
@@ -211,11 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan spec to include (repeat for each row)")
     p = command("export-adapter", cmd_export_adapter,
                 "write trainable values to an adapter file", "--spec", "--out", "--model")
-    p.add_argument("--adapter", help="adapter output path (default <out>/adapter.bin)")
+    p.add_argument("--adapter", type=_path,
+                   help="adapter output path (default <out>/adapter.bin)")
     p = command("swap-adapter", cmd_swap_adapter,
                 "retarget a checkpoint to an adapter's task", "--out", "--model")
-    p.add_argument("--adapter", required=True, help="adapter file to swap in")
-    p.add_argument("--out-model", help="output checkpoint (default: overwrite input)")
+    p.add_argument("--adapter", type=_path, required=True, help="adapter file to swap in")
+    p.add_argument("--out-model", type=_path,
+                   help="output checkpoint (default: overwrite input)")
     return parser
 
 

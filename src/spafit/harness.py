@@ -101,9 +101,11 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
               train_records: list[DatasetRecord], val_records: list[DatasetRecord],
               cfg: TrainConfig) -> RunResult:
     """Minibatch AdamW over the plan's trainables, then a validation pass.
-    A ``cfg`` without a learning rate trains at the plan's default. The run
-    holds one step's graph and gradients at a time, and returns the store
-    without gradients."""
+    A ``cfg`` without a learning rate trains at the plan's default. Each
+    step updates every optimizer bucket inside its backward pass, as soon as
+    the bucket's gradients are complete, and drops them; so the run holds
+    one step's activations and never a full set of gradients, and returns
+    the store without gradients."""
     _check_head(store, task_spec)
     if not train_records:
         raise InputError("train_run needs at least one training record")
@@ -121,25 +123,24 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
 
     step = 0
     epoch_losses: list[float] = []
+    # Gradients held from before the run would add into the first step;
+    # each step's own are dropped as its buckets are updated, and backward
+    # frees the graph itself.
+    optimizer.zero_grad()
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
-            # Cleared before the forward, so no step's gradients live on
-            # beside the next step's graph; backward frees the graph itself.
-            optimizer.zero_grad()
             idx = order[start:start + cfg.batch_size]
             loss = _batch_loss(store, task_spec, tokens[idx], types[idx],
                                labels[idx], rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDivergedError(step, value)
-            loss.backward()
-            optimizer.step()
+            optimizer.backward_step(loss)
             losses.append(value)
             step += 1
         epoch_losses.append(float(np.mean(losses)))
-    optimizer.zero_grad()  # the returned store holds no gradients
 
     name, value = evaluate(store, task_spec, val_records)
     return RunResult(

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ConfigError, OptimizerError, _check_int
 from .tensor import Tensor
 
@@ -69,10 +71,16 @@ class AdamW:
     of consecutive tensors of at most ``_BUCKET`` scalars in all, each held in
     one contiguous array (a larger tensor forms a bucket alone and keeps its
     own array). Every parameter's ``.data`` becomes a view into its bucket,
-    and the moments are one array per bucket. A step updates each bucket in
-    place, in blocks of at most ``_BLOCK`` scalars, with two block-sized
+    and the moments are one array per bucket. An update runs on each bucket
+    in place, in blocks of at most ``_BLOCK`` scalars, with two block-sized
     scratch arrays. Write into a registered ``.data`` in place; rebinding it
-    detaches the parameter, and ``step`` rejects that.
+    detaches the parameter, and a step rejects that.
+
+    ``backward_step(loss)`` runs the backward of ``loss`` and updates each
+    bucket as soon as the pass has completed that bucket's gradients, then
+    drops them, so a training step never holds a full set of gradients.
+    ``step()`` updates from gradients set any other way: by
+    ``loss.backward()`` or by hand.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
@@ -107,6 +115,12 @@ class AdamW:
             self._pack(run)
         block = min(max((p.size for _, p, _, _ in self._buckets), default=0), _BLOCK)
         self._scratch = (np.empty(block), np.empty(block))
+        # While a step is open: per bucket, how many members still lack
+        # their final gradient (0 once the bucket is updated).
+        self._left: list[int] | None = None
+        # During backward_step's pass, until its first complete gradient:
+        # the parameters the pass has found.
+        self._found: set[str] | None = None
 
     def _pack(self, run: list[tuple[str, Tensor]]) -> None:
         """Make ``run`` one bucket: each tensor's data and moments become views
@@ -133,49 +147,112 @@ class AdamW:
         for t in self.params.values():
             t.grad = None
 
-    def step(self) -> None:
-        """One update from the gradients currently held by the parameters."""
+    def _check_bound(self) -> None:
         for members, _, _, _ in self._buckets:
             for name, param, view in members:
                 if param.data is not view:
                     raise OptimizerError(f"trainable parameter {name!r} was rebound "
                                          "after registration; write into .data in place")
+
+    def _open(self) -> None:
+        self._left = [len(members) for members, _, _, _ in self._buckets]
+
+    def backward_step(self, loss: Tensor) -> None:
+        """``loss.backward()`` then ``step()``, with the same values, but each
+        bucket is updated inside the pass once its gradients are complete, and
+        its gradients are dropped then. A parameter rebound after
+        registration, or one ``loss`` does not reach, raises
+        ``OptimizerError`` before any parameter moves (for the latter, from
+        inside the pass, once some closures have run); if the pass itself
+        fails, the buckets it completed have moved."""
+        self._check_bound()
+        self._open()
+        self._found = set()
+        for i, (members, _, _, _) in enumerate(self._buckets):
+            for name, param, _ in members:
+                param._node._on_grad = partial(self._on_grad, i, name)
+        try:
+            T.backward(loss)
+            if self._found is not None:  # the pass completed no gradient
+                self._check_found()
+        except BaseException:
+            self._left = self._found = None
+            raise
+        finally:
+            for t in self.params.values():
+                t._node._on_grad = None
+        self.step()
+
+    def _on_grad(self, i: int, name: str, complete: bool) -> None:
+        """The hook on parameter ``name`` of bucket ``i``. Once every member
+        of the bucket has its final gradient, update the bucket and drop its
+        gradients."""
+        if not complete:
+            self._found.add(name)
+            return
+        if self._found is not None:  # the first complete gradient: nothing has moved
+            self._check_found()
+        self._left[i] -= 1
+        if self._left[i] == 0:
+            self._update(i)
+            for _, param, _ in self._buckets[i][0]:
+                param.grad = None
+
+    def _check_found(self) -> None:
+        found, self._found = self._found, None
+        for name in self.params:
+            if name not in found:
+                raise OptimizerError(f"the loss does not reach trainable parameter {name!r}")
+
+    def step(self) -> None:
+        """One update from the gradients currently held by the parameters;
+        inside ``backward_step``, only of the buckets its pass left."""
+        if self._left is None:
+            self._check_bound()
+            for name, param in self.params.items():
                 if param.grad is None:
                     raise OptimizerError(f"missing gradient on trainable parameter {name!r}")
+            self._open()
+        for i, left in enumerate(self._left):
+            if left:
+                self._update(i)
+        self._left = None
+        self.step_count += 1
+
+    def _update(self, i: int) -> None:
         cfg = self.cfg
         b1, b2 = cfg.betas
-        self.step_count += 1
-        t = self.step_count
+        t = self.step_count + 1  # the open step
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
         block1, block2 = self._scratch
-        for members, p, m, v in self._buckets:
-            n = p.size
-            if len(members) == 1:
-                g = members[0][1].grad.reshape(-1)
-            else:  # into block1 when the bucket is one block
-                g = np.concatenate([param.grad.reshape(-1) for _, param, _ in members],
-                                   out=block1[:n] if n <= _BLOCK else None)
-            for lo in range(0, n, _BLOCK):
-                hi = min(lo + _BLOCK, n)
-                gb, pb, mb, vb = g[lo:hi], p[lo:hi], m[lo:hi], v[lo:hi]
-                s1, s2 = block1[:hi - lo], block2[:hi - lo]
-                # In place, in the per-tensor expression order, so every value
-                # is bit-identical to m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-                # p = p - lr*((m/bias1) / (sqrt(v/bias2) + eps) + wd*p).
-                mb *= b1
-                np.multiply(gb, 1.0 - b1, out=s2)
-                mb += s2
-                vb *= b2
-                np.multiply(gb, 1.0 - b2, out=s2)
-                s2 *= gb
-                vb += s2
-                np.divide(vb, bias2, out=s1)  # gb is dead from here on
-                np.sqrt(s1, out=s1)
-                s1 += cfg.eps
-                np.divide(mb, bias1, out=s2)
-                s2 /= s1
-                np.multiply(pb, cfg.weight_decay, out=s1)
-                s1 += s2
-                s1 *= cfg.learning_rate
-                pb -= s1
+        members, p, m, v = self._buckets[i]
+        n = p.size
+        if len(members) == 1:
+            g = members[0][1].grad.reshape(-1)
+        else:  # into block1 when the bucket is one block
+            g = np.concatenate([param.grad.reshape(-1) for _, param, _ in members],
+                               out=block1[:n] if n <= _BLOCK else None)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            gb, pb, mb, vb = g[lo:hi], p[lo:hi], m[lo:hi], v[lo:hi]
+            s1, s2 = block1[:hi - lo], block2[:hi - lo]
+            # In place, in the per-tensor expression order, so every value
+            # is bit-identical to m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+            # p = p - lr*((m/bias1) / (sqrt(v/bias2) + eps) + wd*p).
+            mb *= b1
+            np.multiply(gb, 1.0 - b1, out=s2)
+            mb += s2
+            vb *= b2
+            np.multiply(gb, 1.0 - b2, out=s2)
+            s2 *= gb
+            vb += s2
+            np.divide(vb, bias2, out=s1)  # gb is dead from here on
+            np.sqrt(s1, out=s1)
+            s1 += cfg.eps
+            np.divide(mb, bias1, out=s2)
+            s2 /= s1
+            np.multiply(pb, cfg.weight_decay, out=s1)
+            s1 += s2
+            s1 *= cfg.learning_rate
+            pb -= s1

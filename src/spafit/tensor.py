@@ -1,14 +1,25 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation returns a new ``Tensor`` that remembers its operands and a
-closure computing the local vector-Jacobian product. ``backward`` walks the
-resulting DAG once in reverse topological order and accumulates gradients
-additively into every node that requires them, so fan-out is handled by
-plain addition. It consumes the graph as it goes: each interior node lets go
-of its operands and its closure (and with them the arrays the closure saved)
-as soon as its own closure has run, so a second backward through the graph,
-or through a new op over one of its nodes, raises ``GraphError``. Leaves
-keep their gradients.
+A ``Tensor`` is a value (``data``) and a graph node. Every operation returns
+a new ``Tensor`` whose node keeps its operands' nodes and a closure computing
+the local vector-Jacobian product; a node never holds a value. Each closure
+captures only the arrays it reads (linear's input view, attention's q/k/v
+and scores, layer norm's ``xhat``, gelu's input and cdf, dropout's bool
+keep-mask, and so on), so an output that its consumers only route a
+gradient through (a residual add, a layer norm's or dropout's input, an
+attention output, an embedding gather) is freed once the caller drops its
+``Tensor``, while the graph lives on.
+
+``backward`` walks the DAG once in reverse topological order and
+accumulates gradients additively into every node that requires them, so
+fan-out is handled by plain addition. It consumes the graph as it goes:
+each interior node lets go of its operands and its closure (and with them
+the arrays the closure saved) as soon as its own closure has run, so a
+second backward through the graph, or through a new op over one of its
+nodes, raises ``GraphError``. Leaves keep their gradients; a leaf whose
+``_on_grad`` slot holds a callable has it called when the pass finds the
+leaf and again once the pass has completed the leaf's gradient
+(``spafit.optim`` updates parameters there).
 """
 
 from __future__ import annotations
@@ -28,30 +39,69 @@ LAYER_NORM_EPS = 1e-12
 _grad_enabled = True
 
 
+class _Node:
+    """What a backward pass reads of a tensor: its gradient slot, whether it
+    requires one, its operands' nodes and its closure; never its value.
+    ``_on_grad``, on a leaf, is called by a backward pass that reaches the
+    leaf: with False before any closure runs, and with True once the pass
+    has completed the leaf's gradient."""
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward_fn", "_on_grad")
+
+    def __init__(self, requires_grad: bool, parents: tuple["_Node", ...],
+                 backward_fn: Callable[[np.ndarray], None] | None):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self._on_grad: Callable[[bool], None] | None = None
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        # Kept without a copy: ``g`` may also be another node's gradient, so
+        # no gradient array is ever written in place; a later contribution
+        # makes a new sum.
+        if self.grad is None:
+            self.grad = np.asarray(g, dtype=np.float64)
+        else:
+            self.grad = self.grad + g
+
+
+def _node_attribute(name: str, doc: str) -> property:
+    """A ``Tensor`` property that reads and writes its node's ``name``."""
+    return property(lambda t: getattr(t._node, name),
+                    lambda t, value: setattr(t._node, name, value), doc=doc)
+
+
 class Tensor:
-    """A float64 array plus an optional gradient slot.
+    """A float64 array and its graph node.
 
     ``requires_grad`` marks leaves that should collect gradients; interior
     nodes inherit it from their parents. ``grad`` stays ``None`` until a
     backward pass deposits something, and accumulates across passes until
     cleared. Treat a ``grad`` array as read-only: it may be shared with
-    another tensor.
+    another tensor. ``grad``, ``requires_grad``, ``_parents`` and
+    ``_backward_fn`` are the node's; ``parents`` are the operands' nodes.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "_node")
 
     def __init__(
         self,
         data,
         requires_grad: bool = False,
-        parents: tuple["Tensor", ...] = (),
+        parents: tuple[_Node, ...] = (),
         backward_fn: Callable[[np.ndarray], None] | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward_fn = backward_fn
+        self._node = _Node(requires_grad, parents, backward_fn)
+
+    grad = _node_attribute("grad", "The accumulated gradient, or None.")
+    requires_grad = _node_attribute("requires_grad", "Whether backward fills ``grad``.")
+    _backward_fn = _node_attribute("_backward_fn", "The node's closure.")
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return self._node._parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -63,13 +113,7 @@ class Tensor:
     # -- gradient plumbing -------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # Kept without a copy: ``g`` may also be another node's gradient, so
-        # no gradient array is ever written in place; a later contribution
-        # makes a new sum.
-        if self.grad is None:
-            self.grad = np.asarray(g, dtype=np.float64)
-        else:
-            self.grad = self.grad + g
+        self._node._accumulate(g)
 
     def backward(self) -> None:
         backward(self)
@@ -98,11 +142,14 @@ def no_grad():
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """A graph node, or a bare constant when no parent needs a gradient (or
+    """A tensor over a new graph node that keeps the parents' nodes and
+    ``backward_fn``, or a bare constant when no parent needs a gradient (or
     under ``no_grad``), so such subgraphs keep neither their operands nor
     their closures alive."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
+    if _grad_enabled:
+        nodes = tuple([p._node for p in parents])
+        if any([n.requires_grad for n in nodes]):
+            return Tensor(data, requires_grad=True, parents=nodes, backward_fn=backward_fn)
     return Tensor(data)
 
 
@@ -117,35 +164,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -- arithmetic -------------------------------------------------------------
+#
+# Each backward closure binds what it reads as default arguments: its
+# operands' nodes (``an`` for ``a``'s), never an operand ``Tensor``, and
+# only the arrays and sizes it uses. Its signature is then the record of
+# what the node keeps, and the binding costs one tuple where free variables
+# would cost a cell object each; every object a graph keeps adds to the
+# garbage collector's work in a training step.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    def backward_fn(g, an=a._node, bn=b._node, a_shape=a.data.shape, b_shape=b.data.shape):
+        if an.requires_grad:
+            an._accumulate(_unbroadcast(g, a_shape))
+        if bn.requires_grad:
+            bn._accumulate(_unbroadcast(g, b_shape))
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _result(data, (a, b), backward_fn)
+    return _result(a.data + b.data, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    def backward_fn(g, an=a._node, bn=b._node, ad=a.data, bd=b.data):
+        if an.requires_grad:
+            an._accumulate(_unbroadcast(g * bd, ad.shape))
+        if bn.requires_grad:
+            bn._accumulate(_unbroadcast(g * ad, bd.shape))
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _result(data, (a, b), backward_fn)
+    return _result(a.data * b.data, (a, b), backward_fn)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    def backward_fn(g):
-        a._accumulate(g * c)
+    def backward_fn(g, an=a._node, c=c):
+        an._accumulate(g * c)
 
     return _result(a.data * c, (a,), backward_fn)
 
@@ -156,15 +206,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-D+ operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+    def backward_fn(g, an=a._node, bn=b._node, ad=a.data, bd=b.data):
+        if an.requires_grad:
+            an._accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+        if bn.requires_grad:
+            bn._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
-    return _result(data, (a, b), backward_fn)
+    return _result(a.data @ b.data, (a, b), backward_fn)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor | None = None,
@@ -177,37 +226,42 @@ def linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor | None = None,
     the low-rank path stays inside its rank-r bottleneck ``h = x2 @ down.T``.
     """
     n_out, n_in = w.data.shape
-    if x.data.shape[-1] != n_in or b.data.shape != (n_out,):
-        raise ShapeError(f"linear shapes disagree: x {x.data.shape}, w {w.data.shape}, "
+    x_shape = x.data.shape
+    if x_shape[-1] != n_in or b.data.shape != (n_out,):
+        raise ShapeError(f"linear shapes disagree: x {x_shape}, w {w.data.shape}, "
                          f"b {b.data.shape}")
     x2 = x.data.reshape(-1, n_in)
     y2 = x2 @ w.data.T
     y2 += b.data
     parents = (x, w, b)
+    lora = None  # the pair's nodes and arrays, h and the scaling
     if down is not None:
         h = x2 @ down.data.T
         y2 += (h @ up.data.T) * scaling
         parents += (down, up)
+        lora = (down._node, up._node, down.data, up.data, h, scaling)
 
-    def backward_fn(g):
-        g2 = g.reshape(-1, n_out)
-        if down is not None:
-            gh = (g2 @ up.data) * scaling
-        if x.requires_grad:
-            gx = g2 @ w.data
-            if down is not None:
-                gx += gh @ down.data
-            x._accumulate(gx.reshape(x.data.shape))
-        if w.requires_grad:
-            w._accumulate(g2.T @ x2)
-        if b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
-        if down is not None and down.requires_grad:
-            down._accumulate(gh.T @ x2)
-        if down is not None and up.requires_grad:
-            up._accumulate((g2.T @ h) * scaling)
+    def backward_fn(g, xn=x._node, wn=w._node, bn=b._node, wd=w.data, x2=x2,
+                    x_shape=x_shape, lora=lora):
+        g2 = g.reshape(-1, wd.shape[0])
+        if lora is not None:
+            dn, un, dd, ud, h, scaling = lora
+            gh = (g2 @ ud) * scaling
+        if xn.requires_grad:
+            gx = g2 @ wd
+            if lora is not None:
+                gx += gh @ dd
+            xn._accumulate(gx.reshape(x_shape))
+        if wn.requires_grad:
+            wn._accumulate(g2.T @ x2)
+        if bn.requires_grad:
+            bn._accumulate(g2.sum(axis=0))
+        if lora is not None and dn.requires_grad:
+            dn._accumulate(gh.T @ x2)
+        if lora is not None and un.requires_grad:
+            un._accumulate((g2.T @ h) * scaling)
 
-    return _result(y2.reshape(x.data.shape[:-1] + (n_out,)), parents, backward_fn)
+    return _result(y2.reshape(x_shape[:-1] + (n_out,)), parents, backward_fn)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -216,27 +270,23 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         axes = list(range(a.data.ndim))
         axes[-1], axes[-2] = axes[-2], axes[-1]
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
 
-    def backward_fn(g):
-        a._accumulate(np.transpose(g, inverse))
+    def backward_fn(g, an=a._node, inverse=tuple(np.argsort(axes))):
+        an._accumulate(np.transpose(g, inverse))
 
     return _result(np.transpose(a.data, axes), (a,), backward_fn)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    old = a.data.shape
+    def backward_fn(g, an=a._node, old=a.data.shape):
+        an._accumulate(g.reshape(old))
 
-    def backward_fn(g):
-        a._accumulate(g.reshape(old))
-
-    return _result(a.data.reshape(shape), (a,), backward_fn)
+    return _result(a.data.reshape(tuple(shape)), (a,), backward_fn)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        a._accumulate(np.full_like(a.data, float(g)))
+    def backward_fn(g, an=a._node, shape=a.data.shape):
+        an._accumulate(np.full(shape, float(g)))
 
     return _result(np.asarray(a.data.sum()), (a,), backward_fn)
 
@@ -252,9 +302,9 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
 
-    def backward_fn(g):
+    def backward_fn(g, xn=x._node, s=s):
         inner = (g * s).sum(axis=-1, keepdims=True)
-        x._accumulate(s * (g - inner))
+        xn._accumulate(s * (g - inner))
 
     return _result(s, (x,), backward_fn)
 
@@ -295,22 +345,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     merged = np.empty((batch, q_len, num_heads, hd))
     np.matmul(s, vh, out=np.transpose(merged, (0, 2, 1, 3)))
 
-    def backward_fn(g):
+    def backward_fn(g, qn=q._node, kn=k._node, vn=v._node, qh=qh, kt=kt, vh=vh, s=s, c=c,
+                    split=(batch, q_len, num_heads, hd), q_shape=q_shape, kv_shape=kv_shape):
         # C order, as the chain's gradient copies handed it to its matmuls.
-        gc = np.ascontiguousarray(np.transpose(g.reshape(batch, q_len, num_heads, hd),
-                                               (0, 2, 1, 3)))
-        if q.requires_grad or k.requires_grad:
+        gc = np.ascontiguousarray(np.transpose(g.reshape(split), (0, 2, 1, 3)))
+        if qn.requires_grad or kn.requires_grad:
             gs = gc @ np.swapaxes(vh, -1, -2)
             gs = (s * (gs - (gs * s).sum(axis=-1, keepdims=True))) * c
-            if q.requires_grad:
+            if qn.requires_grad:
                 gq = gs @ np.swapaxes(kt, -1, -2)
-                q._accumulate(np.transpose(gq, (0, 2, 1, 3)).reshape(q_shape))
-            if k.requires_grad:
+                qn._accumulate(np.transpose(gq, (0, 2, 1, 3)).reshape(q_shape))
+            if kn.requires_grad:
                 gkt = np.swapaxes(qh, -1, -2) @ gs
-                k._accumulate(np.transpose(gkt, (0, 3, 1, 2)).reshape(kv_shape))
-        if v.requires_grad:
+                kn._accumulate(np.transpose(gkt, (0, 3, 1, 2)).reshape(kv_shape))
+        if vn.requires_grad:
             gv = np.swapaxes(s, -1, -2) @ gc
-            v._accumulate(np.transpose(gv, (0, 2, 1, 3)).reshape(kv_shape))
+            vn._accumulate(np.transpose(gv, (0, 2, 1, 3)).reshape(kv_shape))
 
     return _result(merged.reshape(q_shape), (q, k, v), backward_fn)
 
@@ -340,21 +390,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     np.multiply(xhat, gamma.data, out=data)
     data += beta.data
 
-    def backward_fn(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
+    def backward_fn(g, xn=x._node, gn=gamma._node, bn=beta._node, gd=gamma.data,
+                    xhat=xhat, inv_std=inv_std):
+        d = xhat.shape[-1]
+        if gn.requires_grad:
+            gn._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        if bn.requires_grad:
+            bn._accumulate(g.reshape(-1, d).sum(axis=0))
+        if xn.requires_grad:
             # dxhat - mean(dxhat) - xhat * mean(dxhat * xhat), scaled by inv_std
-            dxhat = g * gamma.data
+            dxhat = g * gd
             proj = dxhat * xhat
             proj_mean = proj.sum(axis=-1, keepdims=True) / d
             np.multiply(xhat, proj_mean, out=proj)
             dxhat -= dxhat.sum(axis=-1, keepdims=True) / d
             dxhat -= proj
             dxhat *= inv_std
-            x._accumulate(dxhat)
+            xn._accumulate(dxhat)
 
     return _result(data, (x, gamma, beta), backward_fn)
 
@@ -379,16 +431,16 @@ def gelu(x: Tensor) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
 
-    def backward_fn(g):
+    def backward_fn(g, xn=x._node, xd=x.data, cdf=cdf):
         # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)), built in one buffer
-        dx = x.data * -0.5
-        dx *= x.data
+        dx = xd * -0.5
+        dx *= xd
         np.exp(dx, out=dx)
         dx *= _INV_SQRT_2PI
-        dx *= x.data
+        dx *= xd
         dx += cdf
         dx *= g
-        x._accumulate(dx)
+        xn._accumulate(dx)
 
     return _result(x.data * cdf, (x,), backward_fn)
 
@@ -396,8 +448,8 @@ def gelu(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
-    def backward_fn(g):
-        x._accumulate(g * (1.0 - t * t))
+    def backward_fn(g, xn=x._node, t=t):
+        xn._accumulate(g * (1.0 - t * t))
 
     return _result(t, (x,), backward_fn)
 
@@ -410,7 +462,8 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     fixed seed reproduces it bit-exactly. With ``draw_shape`` the uniforms
     are drawn at that larger shape and the mask keeps its leading corner of
     ``x``'s shape, so a tensor cut from a wider one gets the mask values, and
-    leaves the generator in the state, that the wider one would.
+    leaves the generator in the state, that the wider one would. The node
+    saves the bool keep-mask; backward rebuilds the scaled mask from it.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
@@ -426,36 +479,40 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
         raise ShapeError(f"dropout draw shape {draw_shape} does not cover {shape}")
     draws = rng.random(shape if draw_shape is None else draw_shape)
     if draws.shape != shape:
-        draws = draws[tuple(slice(n) for n in shape)].copy()
-    mask = np.divide(draws >= p, 1.0 - p, out=draws)
+        draws = draws[tuple(slice(n) for n in shape)]
+    keep = draws >= p
+    gain = 1.0 / (1.0 - p)  # keep * gain has the bits of keep / (1 - p)
 
-    def backward_fn(g):
-        x._accumulate(g * mask)
+    def backward_fn(g, xn=x._node, keep=keep, gain=gain):
+        dx = keep * gain
+        dx *= g
+        xn._accumulate(dx)
 
-    return _result(x.data * mask, (x,), backward_fn)
+    data = keep * gain
+    data *= x.data
+    return _result(data, (x,), backward_fn)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of ``table`` by integer id; grads scatter-add back."""
     ids = np.asarray(ids)
-    data = table.data[ids]
 
-    def backward_fn(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        table._accumulate(acc)
+    def backward_fn(g, tn=table._node, ids=ids, shape=table.data.shape):
+        acc = np.zeros(shape)
+        np.add.at(acc, ids.reshape(-1), g.reshape(-1, shape[-1]))
+        tn._accumulate(acc)
 
-    return _result(data, (table,), backward_fn)
+    return _result(table.data[ids], (table,), backward_fn)
 
 
 def _select_position(x: Tensor, index) -> Tensor:
     if x.data.ndim != 3:
         raise ShapeError(f"position selection expects a 3-D tensor, got {x.data.shape}")
 
-    def backward_fn(g):
-        acc = np.zeros_like(x.data)
+    def backward_fn(g, xn=x._node, index=index, shape=x.data.shape):
+        acc = np.zeros(shape)
         acc[:, index] = g
-        x._accumulate(acc)
+        xn._accumulate(acc)
 
     return _result(x.data[:, index], (x,), backward_fn)
 
@@ -493,12 +550,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     data = np.asarray((np.log(sums[:, 0]) - picked).mean())
     probs /= sums
 
-    def backward_fn(g):
+    def backward_fn(g, ln=logits._node, probs=probs, labels=labels):
+        n = len(labels)
         d = probs.copy()
         d[np.arange(n), labels] -= 1.0
         d *= float(g)
         d /= n
-        logits._accumulate(d)
+        ln._accumulate(d)
 
     return _result(data, (logits,), backward_fn)
 
@@ -510,10 +568,9 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
         raise ShapeError(f"target shape {target.shape} does not match "
                          f"prediction {pred.data.shape}")
     diff = pred.data - target
-    n = diff.size
 
-    def backward_fn(g):
-        pred._accumulate(float(g) * 2.0 * diff / n)
+    def backward_fn(g, pn=pred._node, diff=diff):
+        pn._accumulate(float(g) * 2.0 * diff / diff.size)
 
     return _result(np.asarray((diff * diff).mean()), (pred,), backward_fn)
 
@@ -530,12 +587,15 @@ def _consumed(g: np.ndarray) -> None:
     raise GraphError(_CONSUMED)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
+def _topo_order(root: _Node) -> list[_Node]:
     """Iterative post-order over the subgraph that requires gradients; raises
-    ``GraphError`` on a node an earlier backward consumed."""
-    order: list[Tensor] = []
+    ``GraphError`` on a node an earlier backward consumed. A node's leaf
+    operands are visited after its interior ones, so each leaf lands just
+    before the first node that reaches it: in reverse, right after the last
+    closure that adds to its gradient."""
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -547,9 +607,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             raise GraphError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
+        interior = []
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+                if p._parents:
+                    interior.append((p, False))
+                else:
+                    stack.append((p, False))
+        stack += interior
     return order
 
 
@@ -563,14 +628,21 @@ def backward(loss: Tensor) -> None:
     before the pass reaches the node's operands. A second backward through
     any consumed node raises ``GraphError`` before a closure runs. Leaves
     are left as they are, and their gradients accumulate until explicitly
-    cleared; a leaf passed as ``loss`` gains ones like any other route.
+    cleared; a leaf passed as ``loss`` gains ones like any other route. A
+    leaf's ``_on_grad`` hook is called with False once the pass has found
+    the leaf, before any closure runs, and with True right after the last
+    closure that adds to its gradient.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
+    root = loss._node
+    if not root.requires_grad:
         return
-    order = _topo_order(loss)
-    loss._accumulate(np.ones_like(loss.data))
+    order = _topo_order(root)
+    for node in order:
+        if node._on_grad is not None:
+            node._on_grad(False)
+    root._accumulate(np.ones_like(loss.data))
     while order:
         node = order.pop()
         if node._backward_fn is not None and node.grad is not None:
@@ -579,3 +651,5 @@ def backward(loss: Tensor) -> None:
             node.grad = None
             node._parents = ()
             node._backward_fn = _consumed
+        elif node._on_grad is not None:
+            node._on_grad(True)

@@ -276,6 +276,30 @@ class TestFlagSurface:
         assert capsys.readouterr().err == "error: out_dir must not be empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.manifest"]
 
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--model"), ("export-adapter", "--adapter"), ("swap-adapter", "--out-model")])
+    def test_empty_path_flag_exits_2(self, manifest_path, tmp_path, capsys, command, flag):
+        """An empty path is a usage error naming the flag, not the flag's
+        default: eval does not read <out>/model.ckpt, export-adapter does not
+        write <out>/adapter.bin, swap-adapter does not overwrite its input."""
+        out = tmp_path / "out"
+        adapter = tmp_path / "a.adapter"
+        assert main(["train", "--manifest", str(manifest_path), "--epochs", "0"]) == 0
+        assert main(["export-adapter", "--manifest", str(manifest_path),
+                     "--adapter", str(adapter)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        argv = [command, "--manifest", str(manifest_path), flag, ""]
+        if command == "swap-adapter":
+            argv += ["--adapter", str(adapter)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must not be empty" in captured.err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestPlanCommand:
     def test_group_sizes_printed(self, bert_manifest_path, capsys):

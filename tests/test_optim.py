@@ -103,8 +103,10 @@ class ReferenceAdamW:
         reference_step(self.params, self.first, self.second, self.cfg, self.step_count)
 
 
-def train_desk(spec, optimizer_cls, steps=16):
-    """``steps`` seeded desk-size train-mode steps (dropout 0.1) under ``spec``."""
+def train_desk(spec, optimizer_cls, steps=16, in_backward=False):
+    """``steps`` seeded desk-size train-mode steps (dropout 0.1) under
+    ``spec``: ``loss.backward()`` then ``step()``, or with ``in_backward``
+    one ``backward_step(loss)``."""
     store = build_model(DESK, seed=0)
     attach_lora(store, compile_plan(parse_plan_spec(spec), DESK), seed=1)
     opt = optimizer_cls(store.trainable_parameters(), TrainConfig(learning_rate=2e-3, seed=0))
@@ -116,8 +118,11 @@ def train_desk(spec, optimizer_cls, steps=16):
         labels = rng.integers(0, 2, size=16)
         loss = T.cross_entropy(model_forward(store, tokens, types, "train", rng), labels)
         opt.zero_grad()
-        loss.backward()
-        opt.step()
+        if in_backward:
+            opt.backward_step(loss)
+        else:
+            loss.backward()
+            opt.step()
         losses.append(float(loss.data))
     return store, opt, losses
 
@@ -206,6 +211,109 @@ class TestBucketedStep:
         cfg = TrainConfig(learning_rate=None, seed=0)
         with pytest.raises(ConfigError, match="learning rate"):
             AdamW({"w": Tensor(np.ones(1), requires_grad=True)}, cfg)
+
+
+class TestBackwardStep:
+    """``backward_step(loss)`` updates each bucket inside the backward pass;
+    values are those of ``loss.backward()`` then ``step()``."""
+
+    @pytest.mark.parametrize("bucket", [1, 1 << 15, 10 ** 9])
+    @pytest.mark.parametrize("spec", STANDARD_PLANS)
+    def test_bit_identical_to_backward_then_step(self, monkeypatch, spec, bucket):
+        monkeypatch.setattr(optim, "_BUCKET", bucket)
+        ref_store, ref_opt, ref_losses = train_desk(spec, AdamW)
+        store, opt, losses = train_desk(spec, AdamW, in_backward=True)
+        assert losses == ref_losses
+        assert opt.step_count == ref_opt.step_count == 16
+        for path, t in ref_store.params.items():
+            assert np.array_equal(store.params[path].data, t.data), path
+        for target, pair in ref_store.lora.items():
+            assert np.array_equal(store.lora[target].down.data, pair.down.data), target
+            assert np.array_equal(store.lora[target].up.data, pair.up.data), target
+        for name in ref_opt.params:
+            assert np.array_equal(opt.first[name], ref_opt.first[name]), name
+            assert np.array_equal(opt.second[name], ref_opt.second[name]), name
+        assert all(t.grad is None for t in opt.params.values())
+
+    @pytest.mark.parametrize("spec", ["fullft", "spafit:N1=1,N2=3,mode=II"])
+    def test_buckets_move_inside_backward_and_drop_their_gradients(self, monkeypatch, spec):
+        """With a bucket per tensor, every bucket is updated before the pass
+        ends and the step after it updates none; no update ever sees every
+        gradient held at once."""
+        monkeypatch.setattr(optim, "_BUCKET", 1)
+        store, loss = self._desk_step_inputs(spec)
+        opt = AdamW(store.trainable_parameters(), TrainConfig(learning_rate=2e-3, seed=0))
+        held, left_at_step = [], []
+        update, step = AdamW._update, AdamW.step
+
+        def watched_update(self, i):
+            held.append(sum(t.grad is not None for t in self.params.values()))
+            update(self, i)
+
+        def watched_step(self):
+            left_at_step.append(list(self._left))
+            step(self)
+
+        monkeypatch.setattr(AdamW, "_update", watched_update)
+        monkeypatch.setattr(AdamW, "step", watched_step)
+        opt.backward_step(loss)
+        assert len(held) == len(opt._buckets) == len(opt.params)
+        assert max(held) < len(opt.params)
+        assert left_at_step == [[0] * len(opt._buckets)]
+        assert all(t.grad is None and t._node._on_grad is None
+                   for t in opt.params.values())
+
+    @staticmethod
+    def _desk_step_inputs(spec="fulllora-II"):
+        """A desk-size store under ``spec`` and one seeded train-mode loss."""
+        store = build_model(DESK, seed=0)
+        attach_lora(store, compile_plan(parse_plan_spec(spec), DESK), seed=1)
+        rng = np.random.default_rng(3)
+        loss = T.cross_entropy(model_forward(store, rng.integers(0, 40, size=(16, 11)),
+                                             rng.integers(0, 2, size=(16, 11)), "train", rng),
+                               rng.integers(0, 2, size=16))
+        return store, loss
+
+    @staticmethod
+    def _assert_nothing_moved(opt, before):
+        assert opt.step_count == 0 and opt._left is None
+        for name, t in opt.params.items():
+            assert np.array_equal(t.data, before[name]), name
+            assert not opt.first[name].any() and not opt.second[name].any(), name
+            assert t._node._on_grad is None, name
+
+    @pytest.mark.parametrize("bucket", [1, 1 << 15])
+    def test_parameter_the_loss_does_not_reach_rejected_before_anything_moves(
+            self, monkeypatch, bucket):
+        monkeypatch.setattr(optim, "_BUCKET", bucket)
+        store, loss = self._desk_step_inputs()
+        params = dict(store.trainable_parameters(),
+                      stray=Tensor(np.ones(3), requires_grad=True))
+        opt = AdamW(params, TrainConfig(learning_rate=2e-3, seed=0))
+        before = {name: t.data.copy() for name, t in params.items()}
+        with pytest.raises(OptimizerError, match="does not reach .*'stray'"):
+            opt.backward_step(loss)
+        self._assert_nothing_moved(opt, before)
+
+    def test_rebound_parameter_rejected_before_anything_moves(self):
+        store, loss = self._desk_step_inputs()
+        params = store.trainable_parameters()
+        opt = AdamW(params, TrainConfig(learning_rate=2e-3, seed=0))
+        name = next(reversed(params))
+        params[name].data = params[name].data.copy()
+        before = {n: t.data.copy() for n, t in params.items()}
+        with pytest.raises(OptimizerError, match=f"{name!r} was rebound"):
+            opt.backward_step(loss)
+        self._assert_nothing_moved(opt, before)
+
+    def test_loss_without_a_graph_rejected_before_anything_moves(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        opt = AdamW({"w": w}, TrainConfig(learning_rate=2e-3, seed=0))
+        with T.no_grad():
+            loss = T.tensor_sum(T.scale(w, 2.0))
+        with pytest.raises(OptimizerError, match="does not reach .*'w'"):
+            opt.backward_step(loss)
+        self._assert_nothing_moved(opt, {"w": np.ones(2)})
 
 
 def one_training_step(store, opt, rng):

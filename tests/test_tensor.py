@@ -406,6 +406,48 @@ class TestConsumedGraph:
         np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0 * x.data) ** 2))
 
 
+def saved_arrays(t: Tensor) -> list[np.ndarray]:
+    """The arrays the closure of ``t``'s node holds (it binds what it reads
+    as default arguments)."""
+    return [a for a in t._backward_fn.__defaults__ if isinstance(a, np.ndarray)]
+
+
+class TestGraphRetention:
+    """A node keeps its operands' nodes and its closure, never a value: an
+    output that no closure reads dies with the caller's ``Tensor``."""
+
+    def test_unread_add_output_freed_while_its_graph_lives(self):
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        y = T.add(x, Tensor([1.0, 2.0]))
+        loss = T.tensor_sum(T.scale(y, 3.0))
+        value = weakref.ref(y.data)
+        del y
+        assert value() is None
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_read_arrays_live_until_their_closure_runs(self):
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        h = T.tanh(T.scale(x, 2.0))  # tanh's backward reads its own output
+        y = T.gelu(h)  # gelu's reads its input
+        loss = T.tensor_sum(y)
+        values = [weakref.ref(h.data), weakref.ref(y.data)]
+        del h, y
+        assert [v() is not None for v in values] == [True, False]
+        loss.backward()
+        assert values[0]() is None
+
+    def test_train_dropout_node_saves_a_bool_mask(self):
+        x = Tensor(np.ones((4, 6)), requires_grad=True)
+        out = T.dropout(x, 0.3, "train", np.random.default_rng(5))
+        (keep,) = saved_arrays(out)
+        assert keep.dtype == np.bool_ and keep.shape == (4, 6)
+        np.testing.assert_array_equal(out.data, np.divide(keep, 0.7))
+        g = np.random.default_rng(6).standard_normal((4, 6))
+        out._backward_fn(g)
+        np.testing.assert_array_equal(x.grad, g * np.divide(keep, 0.7))
+
+
 class TestNoGrad:
     @staticmethod
     def builds_graph() -> bool:
