@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint_with_plan, save_checkpoint
 from .errors import CheckpointError, CompatibilityError, TrainingDivergedError
-from .harness import compare_configs, evaluate, train_run
+from .harness import compare_configs, evaluate, train_fresh
 from .manifest import RunManifest, load_manifest
-from .model import build_model, total_parameter_count
+from .model import total_parameter_count
 from .optim import DEFAULT_LR_FULL_FT, DEFAULT_LR_PEFT, TrainConfig
 from .plan import (
     PlanKind,
@@ -111,17 +111,16 @@ def cmd_audit(args, m: RunManifest) -> int:
 
 
 def cmd_train(args, m: RunManifest) -> int:
-    store = build_model(m.model_config, m.model_seed)
     plan = compile_plan(m.plan_spec, m.model_config)
-    attach_lora(store, plan, seed=m.model_seed)
     train_records, val_records = generate_task(m.task_spec)
-    result = train_run(store, plan, m.task_spec, train_records, val_records,
-                       m.train_config)
+    store, result = train_fresh(plan, m.model_seed, m.task_spec, train_records,
+                                val_records, m.train_config)
     m.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = m.out_dir / "model.ckpt"
     save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
-    (m.out_dir / "result.json").write_text(json.dumps(result.to_dict(), indent=2))
-    print(json.dumps(result.to_dict(), indent=2))
+    result_text = json.dumps(result.to_dict(), indent=2)
+    (m.out_dir / "result.json").write_text(result_text)
+    print(result_text)
     print(f"checkpoint: {ckpt}", file=sys.stderr)
     return 0
 

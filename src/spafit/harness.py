@@ -2,7 +2,9 @@
 
 A run owns its store exclusively: minibatch shuffling and dropout draw from
 one generator seeded by the train config, so a (seed, data, config) triple
-pins every float of the result.
+pins every float of the result. ``train_fresh`` starts every fresh run:
+``spafit train`` and each ``compare_configs`` row go through it, and
+``compare_configs`` compiles every plan before it generates data.
 """
 
 from __future__ import annotations
@@ -162,6 +164,16 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
     )
 
 
+def train_fresh(plan: FinetunePlan, model_seed: int, task_spec: TaskSpec,
+                train_records: list[DatasetRecord], val_records: list[DatasetRecord],
+                train_cfg: TrainConfig) -> tuple[ParamStore, RunResult]:
+    """Train ``plan`` from a fresh base: the base weights and the plan's LoRA
+    factors are both drawn from ``model_seed``. Returns the trained store and
+    its result."""
+    store = attach_lora(build_model(plan.config, model_seed), plan, seed=model_seed)
+    return store, train_run(store, plan, task_spec, train_records, val_records, train_cfg)
+
+
 @dataclass
 class ComparisonTable:
     rows: list[RunResult]
@@ -186,24 +198,23 @@ def compare_configs(specs: list[PlanSpec], model_cfg: ModelConfig, task_spec: Ta
                     val_records: list[DatasetRecord] | None = None) -> ComparisonTable:
     """Train every plan from the same base weights; one result row per spec.
 
-    The best row among the parameter-efficient plans (full fine-tuning is
-    excluded from the comparison) is flagged. A ``train_cfg`` without a
-    learning rate trains each plan at its own default. Without records, the
-    task spec's generated train/val split is used.
+    Every spec is compiled first, so a spec the model cannot take raises its
+    ``PlanError`` before any data is generated or any row trains. The best
+    row among the parameter-efficient plans (full fine-tuning is excluded
+    from the comparison) is flagged. A ``train_cfg`` without a learning rate
+    trains each plan at its own default. Without records, the task spec's
+    generated train/val split is used.
     """
     if (train_records is None) != (val_records is None):
         raise InputError("compare_configs takes both train_records and val_records, "
                          "or neither")
+    plans = [compile_plan(spec, model_cfg) for spec in specs]
     if train_records is None:
         train_records, val_records = generate_task(task_spec)
 
-    rows: list[RunResult] = []
-    for spec in specs:
-        store = build_model(model_cfg, model_seed)
-        plan = compile_plan(spec, model_cfg)
-        attach_lora(store, plan, seed=model_seed)
-        rows.append(train_run(store, plan, task_spec, train_records, val_records,
-                              train_cfg))
+    rows = [train_fresh(plan, model_seed, task_spec, train_records, val_records,
+                        train_cfg)[1]
+            for plan in plans]
 
     best: int | None = None
     for i, (spec, row) in enumerate(zip(specs, rows)):

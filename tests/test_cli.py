@@ -257,7 +257,7 @@ class TestFlagSurface:
         assert m.out_dir == tmp_path / "o"
 
     def test_empty_spec_flag_is_used(self, manifest_path, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "train_run", _refuse_to_train)
+        monkeypatch.setattr(harness, "train_run", _refuse_to_train)
         assert main(["train", "--manifest", str(manifest_path), "--spec", ""]) == 2
         assert capsys.readouterr().err.startswith("error: unrecognized plan spec ''")
         assert not (tmp_path / "out").exists()
@@ -402,14 +402,14 @@ class TestNonFiniteValues:
         path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), section, line))
         with pytest.raises(SpafitError):
             load_manifest(path)
-        monkeypatch.setattr(cli, "train_run", _refuse_to_train)
+        monkeypatch.setattr(harness, "train_run", _refuse_to_train)
         assert main(["train", "--manifest", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_flag_exits_2(self, manifest_path, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "train_run", _refuse_to_train)
+        monkeypatch.setattr(harness, "train_run", _refuse_to_train)
         assert main(["train", "--manifest", str(manifest_path), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: train seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
@@ -440,10 +440,23 @@ class TestModelFitsTask:
             load_manifest(path)
         assert all(key in str(info.value) for key in keys), info.value
         monkeypatch.setattr(cli, "generate_task", _refuse_to_generate)
-        monkeypatch.setattr(cli, "train_run", _refuse_to_train)
+        monkeypatch.setattr(harness, "train_run", _refuse_to_train)
         assert main(["train", "--manifest", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_one_record_regression_split_exits_2_before_generating_data(
+            self, tmp_path, capsys, monkeypatch):
+        """Pearson correlation needs two validation records; one is refused
+        when the manifest loads, not after training."""
+        path = tmp_path / "one.manifest"
+        path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), "task",
+                                  "kind = pair_regression\nval_size = 1"))
+        monkeypatch.setattr(cli, "generate_task", _refuse_to_generate)
+        monkeypatch.setattr(harness, "train_run", _refuse_to_train)
+        assert main(["train", "--manifest", str(path)]) == 2
+        assert "val_size >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_task_filling_the_model_exactly_loads(self, tmp_path):
@@ -528,6 +541,16 @@ class TestCompareCommand:
                      *[arg for spec in specs for arg in ("--spec", spec)]]) == 0
         assert trained == [2e-5, 6e-5, 6e-5]
         assert self._rates(tmp_path / "out" / "comparison.csv") == dict(zip(specs, trained))
+
+    def test_unfit_spec_exits_2_before_any_row_trains(self, manifest_path, tmp_path,
+                                                       capsys, monkeypatch):
+        """Every spec is compiled before the first row trains, so a spec the
+        2-layer model cannot take stops the command before fullft trains."""
+        monkeypatch.setattr(harness, "train_run", _refuse_to_train)
+        assert main(["compare", "--manifest", str(manifest_path), "--spec", "fullft",
+                     "--spec", "spafit:N1=1,N2=9,mode=II"]) == 2
+        assert "N2=9" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "comparison.csv").exists()
 
 
 class TestAdapterCommands:

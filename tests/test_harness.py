@@ -1,6 +1,7 @@
 """Training harness: determinism, zero-epoch base case, comparisons."""
 
 import dataclasses
+import hashlib
 import json
 import weakref
 
@@ -10,12 +11,14 @@ import pytest
 import spafit as sp
 import spafit.harness as harness
 import spafit.tensor as T
-from spafit.errors import InputError, TrainingDivergedError
-from spafit.harness import compare_configs, evaluate, predict, train_run
+from spafit.errors import InputError, PlanError, TrainingDivergedError
+from spafit.harness import compare_configs, evaluate, predict, train_fresh, train_run
 from spafit.metrics import accuracy
 from spafit.model import model_forward
 from spafit.plan import count_trainable
 from spafit.tasks import DatasetRecord, TaskSpec, encode_batch, generate_task, labels_array
+
+from test_plan import STANDARD_PLANS
 
 MODEL_CFG = sp.ModelConfig(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32,
                            vocab_size=40, max_positions=16, lora_rank=4,
@@ -31,12 +34,9 @@ def datasets():
 
 def fresh_run(train_cfg, plan_text="spafit:N1=0,N2=1,mode=II", datasets=None,
               task=TASK):
-    store = sp.build_model(MODEL_CFG, seed=3)
     plan = sp.compile_plan(sp.parse_plan_spec(plan_text), MODEL_CFG)
-    sp.attach_lora(store, plan, seed=3)
     train, val = datasets
-    result = train_run(store, plan, task, train, val, train_cfg)
-    return store, result
+    return train_fresh(plan, 3, task, train, val, train_cfg)
 
 
 class TestTrainRun:
@@ -331,6 +331,57 @@ class TestCompareConfigs:
         b = compare_configs(specs, MODEL_CFG, TASK, cfg, 3,
                             train_records=train, val_records=val)
         assert a.to_csv() == b.to_csv()
+
+
+# The README demo dims, with dropout.
+DESK_MODEL = sp.ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
+                            vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16,
+                            dropout_p=0.1)
+DESK_TASK = TaskSpec(kind="pair_classification", vocab_size=40, seq_len=11,
+                     train_size=64, val_size=32, seed=0)
+
+
+def store_digest(store) -> str:
+    """sha256 over every parameter and LoRA factor, by name."""
+    digest = hashlib.sha256()
+    for name, tensor in sorted((store.params | store.factors()).items()):
+        digest.update(name.encode())
+        digest.update(tensor.data.tobytes())
+    return digest.hexdigest()
+
+
+def refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} entered")
+    return refused
+
+
+class TestTrainFresh:
+    @pytest.mark.parametrize("text", STANDARD_PLANS)
+    def test_matches_the_inline_sequence(self, text):
+        """``train_fresh`` is build, attach with the same seed, train: the
+        same losses, metric, trainable count and final bits."""
+        plan = sp.compile_plan(sp.parse_plan_spec(text), DESK_MODEL)
+        train, val = generate_task(DESK_TASK)
+        cfg = sp.TrainConfig(learning_rate=2e-3, epochs=2, seed=1)
+        inline = sp.attach_lora(sp.build_model(DESK_MODEL, seed=7), plan, seed=7)
+        want = train_run(inline, plan, DESK_TASK, train, val, cfg)
+        store, got = train_fresh(plan, 7, DESK_TASK, train, val, cfg)
+        assert got.epoch_losses == want.epoch_losses
+        assert (got.metric_name, got.metric_value) == (want.metric_name, want.metric_value)
+        assert got.trainable_count == want.trainable_count
+        assert store_digest(store) == store_digest(inline)
+
+    def test_compare_checks_every_plan_before_any_row_trains(self, monkeypatch):
+        """A spec the model cannot take fails before data is generated or
+        the rows ahead of it train."""
+        for name in ("generate_task", "train_run"):
+            monkeypatch.setattr(harness, name, refuse(name))
+        specs = [sp.parse_plan_spec(t) for t in ("fullft", "spafit:N1=1,N2=9,mode=II")]
+        with pytest.raises(PlanError, match="N2=9"):
+            compare_configs(specs, DESK_MODEL, DESK_TASK,
+                            sp.TrainConfig(learning_rate=2e-3, epochs=1, seed=1),
+                            model_seed=0)
 
 
 class TestLearnability:

@@ -260,6 +260,14 @@ class TestSpecValidation:
             TaskSpec(kind="pair_regression", vocab_size=60, seq_len=19,
                      train_size=10, val_size=5, seed=0, noise_std=noise_std)
 
+    def test_regression_needs_two_validation_records(self):
+        """Pearson correlation is undefined on one record, so a one-record
+        regression split is refused when the spec is made, not after training."""
+        with pytest.raises(TaskSpecError, match="val_size >= 2"):
+            dataclasses.replace(REGRESSION, val_size=1)
+        assert dataclasses.replace(REGRESSION, val_size=2).val_size == 2
+        assert dataclasses.replace(PAIR, val_size=1).val_size == 1
+
 
 class TestEncoding:
     def test_pair_layout_and_type_ids(self):
