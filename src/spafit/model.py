@@ -169,9 +169,6 @@ class ParamStore:
         # adapters record, by spec text: a pure function of it and the config.
         self.swap_plans: dict[str, object] = {}
 
-    def paths(self) -> list[str]:
-        return list(self.params)
-
     def factors(self) -> dict[str, Tensor]:
         """Attached low-rank factors by container name, in attachment order."""
         out: dict[str, Tensor] = {}

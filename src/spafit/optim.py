@@ -23,13 +23,11 @@ from .tensor import Tensor
 DEFAULT_LR_PEFT = 6e-5
 DEFAULT_LR_FULL_FT = 2e-5
 
-# Scalars per optimizer bucket. Small enough that a bucket and the step's
-# scratch stay below glibc's mmap threshold (see ``spafit.heap``) and in
-# cache; large enough that a desk-size model's trainables take a few buckets.
-_BUCKET = 1 << 15
-# Scalars per update block: a step runs the whole update on one block, which
-# stays in cache, before the next. Separate from ``_BUCKET``, which tests
-# shrink to one scalar to give every tensor a bucket of its own.
+# Scalars per update block, and the most a bucket of several tensors holds: a
+# step runs the whole update on one block before the next. Small enough that
+# a block and the step's scratch stay below glibc's mmap threshold (see
+# ``spafit.heap``) and in cache; large enough that a desk-size model's
+# trainables take a few buckets.
 _BLOCK = 1 << 15
 
 
@@ -68,7 +66,7 @@ class AdamW:
     """Bias-corrected AdamW restricted to the given named tensors.
 
     The constructor packs the tensors, in ``params`` order, into buckets: runs
-    of consecutive tensors of at most ``_BUCKET`` scalars in all, each held in
+    of consecutive tensors of at most ``_BLOCK`` scalars in all, each held in
     one contiguous array (a larger tensor forms a bucket alone and keeps its
     own array). Every parameter's ``.data`` becomes a view into its bucket,
     and the moments are one array per bucket. An update runs on each bucket
@@ -106,7 +104,7 @@ class AdamW:
         run: list[tuple[str, Tensor]] = []
         size = 0
         for name, t in self.params.items():
-            if run and size + t.data.size > _BUCKET:
+            if run and size + t.data.size > _BLOCK:
                 self._pack(run)
                 run, size = [], 0
             run.append((name, t))
@@ -230,9 +228,9 @@ class AdamW:
         n = p.size
         if len(members) == 1:
             g = members[0][1].grad.reshape(-1)
-        else:  # into block1 when the bucket is one block
+        else:
             g = np.concatenate([param.grad.reshape(-1) for _, param, _ in members],
-                               out=block1[:n] if n <= _BLOCK else None)
+                               out=block1[:n])
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             gb, pb, mb, vb = g[lo:hi], p[lo:hi], m[lo:hi], v[lo:hi]

@@ -106,6 +106,9 @@ class TaskSpec:
         else:
             if self.kind == PAIR_CLASSIFICATION and self.num_labels != 2:
                 raise TaskSpecError("pair classification is binary")
+            if self.kind == PAIR_REGRESSION and self.num_labels != 2:
+                raise TaskSpecError(f"a pair_regression task has one output and takes no "
+                                    f"num_labels, got {self.num_labels}")
             if self.seq_len < 5:
                 raise TaskSpecError(f"seq_len {self.seq_len} cannot hold two segments")
             # both the topic pool and the distractor pool must be non-trivial
@@ -232,11 +235,16 @@ def planted_rule_label(spec: TaskSpec, record: DatasetRecord) -> int | float:
 def generate_task(spec: TaskSpec) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
     """Deterministic (train, validation) split for ``spec``: one generator
     seeded with the task seed draws the training records, then the
-    validation records."""
+    validation records. A regression split whose validation scores all
+    coincide raises ``TaskSpecError``: its correlation is undefined."""
     rng = np.random.default_rng(spec.seed)
     make = (_single_maker if spec.kind == SINGLE_CLASSIFICATION else _pair_maker)(spec)
     train = [make(rng) for _ in range(spec.train_size)]
     val = [make(rng) for _ in range(spec.val_size)]
+    if spec.kind == PAIR_REGRESSION and len({r.label for r in val}) == 1:
+        raise TaskSpecError(f"every validation score of this pair_regression task is "
+                            f"{val[0].label}, so its correlation is undefined; change "
+                            "the task seed, val_size or noise_std")
     return train, val
 
 

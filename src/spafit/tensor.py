@@ -79,8 +79,8 @@ class Tensor:
     nodes inherit it from their parents. ``grad`` stays ``None`` until a
     backward pass deposits something, and accumulates across passes until
     cleared. Treat a ``grad`` array as read-only: it may be shared with
-    another tensor. ``grad``, ``requires_grad``, ``_parents`` and
-    ``_backward_fn`` are the node's; ``parents`` are the operands' nodes.
+    another tensor. ``grad``, ``requires_grad`` and ``_backward_fn`` are the
+    node's; ``parents`` are the operands' nodes.
     """
 
     __slots__ = ("data", "_node")
@@ -100,10 +100,6 @@ class Tensor:
     _backward_fn = _node_attribute("_backward_fn", "The node's closure.")
 
     @property
-    def _parents(self) -> tuple[_Node, ...]:
-        return self._node._parents
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
@@ -111,9 +107,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- gradient plumbing -------------------------------------------------
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        self._node._accumulate(g)
 
     def backward(self) -> None:
         backward(self)

@@ -167,7 +167,7 @@ def test_criterion_03_gradient_checks():
                 t.data = t.data + 0.1 * nudge.standard_normal(t.data.shape)
         xin = rng.standard_normal((2, 3, 8))
         wl = rng.standard_normal((2, 3, 8))
-        layer_paths = [p for p in store.paths() if p.startswith("encoder.layer.0.")]
+        layer_paths = [p for p in store.params if p.startswith("encoder.layer.0.")]
         arrays = [xin] + [store.params[p].data for p in layer_paths]
 
         def layer(ts):
@@ -388,7 +388,7 @@ def test_criterion_11_determinism():
             assert second_result.metric_value == first_result.metric_value
             assert second_result.epoch_losses == first_result.epoch_losses
             assert second_train == first_train
-            for path in first_store.paths():
+            for path in first_store.params:
                 assert np.array_equal(second_store.params[path].data,
                                       first_store.params[path].data), path
             for target in first_store.lora:

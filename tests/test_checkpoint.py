@@ -47,8 +47,8 @@ def test_round_trip_bit_exact(store, tmp_path):
     save_checkpoint(store, path)
     loaded = load_checkpoint(path)
     assert loaded.config == CFG
-    assert loaded.paths() == store.paths()
-    for p in store.paths():
+    assert list(loaded.params) == list(store.params)
+    for p in store.params:
         np.testing.assert_array_equal(loaded.params[p].data, store.params[p].data)
 
 

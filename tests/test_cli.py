@@ -395,6 +395,7 @@ class TestNonFiniteValues:
         ("task", "kind = pair_regression\nmetric = accuracy"),
         ("task", "kind = single_sentence_classification\nnum_labels = 3\nmetric = f1"),
         ("model", "seed = -1"), ("train", "seed = -1"), ("task", "seed = -1"),
+        *[("task", f"kind = pair_regression\nnum_labels = {n}") for n in (-1, 0, 1, 3)],
     ])
     def test_train_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
                                            section, line):
@@ -458,6 +459,23 @@ class TestModelFitsTask:
         assert main(["train", "--manifest", str(path)]) == 2
         assert "val_size >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_regression_split_with_one_validation_score_exits_2_before_building(
+            self, tmp_path, capsys, monkeypatch):
+        """Both validation scores of this split are 0.0, so its correlation is
+        undefined: refused once the data is generated, before a model is
+        built or trained."""
+        path = tmp_path / "flat.manifest"
+        path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), "task",
+                                  "kind = pair_regression\nseq_len = 11\ntrain_size = 200\n"
+                                  "val_size = 2\nnoise_std = 0.0\nseed = 4"))
+        monkeypatch.setattr(harness, "build_model",
+                            lambda *args: pytest.fail("build_model entered"))
+        monkeypatch.setattr(harness, "train_run", _refuse_to_train)
+        assert main(["train", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "correlation is undefined" in err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
     def test_task_filling_the_model_exactly_loads(self, tmp_path):
         path = tmp_path / "edge.manifest"

@@ -229,14 +229,14 @@ def reference_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def backward_fn(g):
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+            gamma._node._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0))
+            beta._node._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data
             term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv_std * term)
+            x._node._accumulate(inv_std * term)
 
     return T._result(gamma.data * xhat + beta.data, (x, gamma, beta), backward_fn)
 
@@ -246,7 +246,7 @@ def reference_gelu(x: Tensor) -> Tensor:
 
     def backward_fn(g):
         pdf = np.exp(-0.5 * x.data * x.data) * T._INV_SQRT_2PI
-        x._accumulate(g * (cdf + x.data * pdf))
+        x._node._accumulate(g * (cdf + x.data * pdf))
 
     return T._result(x.data * cdf, (x,), backward_fn)
 
@@ -260,7 +260,7 @@ def reference_dropout(x: Tensor, p: float, mode: str,
     mask = (draws[tuple(slice(n) for n in x.data.shape)] >= p) / (1.0 - p)
 
     def backward_fn(g):
-        x._accumulate(g * mask)
+        x._node._accumulate(g * mask)
 
     return T._result(x.data * mask, (x,), backward_fn)
 
@@ -276,7 +276,7 @@ def reference_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     def backward_fn(g):
         d = probs.copy()
         d[np.arange(n), labels] -= 1.0
-        logits._accumulate(float(g) * d / n)
+        logits._node._accumulate(float(g) * d / n)
 
     return T._result(np.asarray((lse - picked).mean()), (logits,), backward_fn)
 
@@ -341,9 +341,9 @@ def test_row_op_backward_leaves_saved_state_intact(rng, shape):
         g = rng.standard_normal(out.data.shape)
         value, upstream = out.data.copy(), g.copy()
         out._backward_fn(g)
-        first = [None if t.grad is None else t.grad.copy() for t in out._parents]
+        first = [None if t.grad is None else t.grad.copy() for t in out._node._parents]
         out._backward_fn(g)
-        for t, grad in zip(out._parents, first):
+        for t, grad in zip(out._node._parents, first):
             if t.requires_grad:
                 np.testing.assert_array_equal(t.grad, grad + grad, err_msg=f"{name} {flags}")
             else:
@@ -425,7 +425,7 @@ def test_full_encoder_layer_gradients(rng):
 
     x = rng.standard_normal((2, 3, 8))
     w = rng.standard_normal((2, 3, 8))
-    layer_paths = [p for p in store.paths() if p.startswith("encoder.layer.0.")]
+    layer_paths = [p for p in store.params if p.startswith("encoder.layer.0.")]
     arrays = [x] + [store.params[p].data for p in layer_paths]
 
     def layer(ts):

@@ -65,7 +65,7 @@ class TestParameterCensus:
     def test_store_census_matches_shape_enumeration(self):
         store = build_model(TOY, seed=0)
         shapes = param_shapes(TOY)
-        assert set(store.paths()) == set(shapes)
+        assert set(store.params) == set(shapes)
         for path, t in store.params.items():
             assert t.data.shape == shapes[path]
         total = closed_form_embedding_count(TOY) \
@@ -88,7 +88,7 @@ class TestBuildModel:
     def test_same_seed_bit_identical(self):
         a = build_model(TOY, seed=11)
         b = build_model(TOY, seed=11)
-        for path in a.paths():
+        for path in a.params:
             np.testing.assert_array_equal(a.params[path].data, b.params[path].data)
 
     def test_different_seed_differs(self):
@@ -366,7 +366,7 @@ class TestModelForward:
         """Under full training, each parameter gets a nonzero grad for
         at least one of three seeded batches."""
         store = build_model(TOY, seed=3)
-        touched = {p: False for p in store.paths()}
+        touched = {p: False for p in store.params}
         for seed in range(3):
             rng = np.random.default_rng(seed)
             tokens = rng.integers(0, 30, size=(4, 10))
@@ -517,9 +517,9 @@ class TestPooledTrainForward:
                                        lambda logits: T.mse_loss(logits, scores))
 
 
-def reachable(loss: Tensor) -> list[Tensor]:
-    """Every tensor reachable from ``loss`` through ``_parents``."""
-    seen, stack, out = set(), [loss], []
+def reachable(loss: Tensor) -> list[T._Node]:
+    """Every node reachable from ``loss`` through ``_parents``."""
+    seen, stack, out = set(), [loss._node], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:

@@ -127,29 +127,35 @@ def train_desk(spec, optimizer_cls, steps=16, in_backward=False):
     return store, opt, losses
 
 
-class TestBucketedStep:
-    @pytest.mark.parametrize("bucket", [1, 1 << 15, 10 ** 9])
-    @pytest.mark.parametrize("spec", STANDARD_PLANS)
-    def test_bit_identical_to_per_tensor_loop(self, monkeypatch, spec, bucket):
-        monkeypatch.setattr(optim, "_BUCKET", bucket)
-        opt = self._assert_matches_reference(spec)
-        if bucket == 1:
-            assert len(opt._buckets) == len(opt.params)
-        if bucket == 10 ** 9:
-            assert len(opt._buckets) == 1
+# Block sizes: at the desk dims 32 gives every tensor a bucket of its own,
+# many several blocks long; 700 gives buckets of several tensors beside
+# tensors of several blocks, the last one shorter; 10**9 gives one bucket.
+BLOCKS = [32, 700, 1 << 15, 10 ** 9]
 
-    @pytest.mark.parametrize("bucket", [1, 10 ** 9])
-    @pytest.mark.parametrize("block", [5, 700])
+
+def assert_bucket_layout(opt, block):
+    """Every bucket of several tensors fits in one block, and ``block``
+    lays out the desk buckets as ``BLOCKS`` says."""
+    buckets = [(len(members), p.size) for members, p, _, _ in opt._buckets]
+    assert all(n <= block for count, n in buckets if count > 1)
+    assert all(s.size == min(max(n for _, n in buckets), block) for s in opt._scratch)
+    if block == 32:
+        assert len(buckets) == len(opt.params)
+        assert any(n > block for _, n in buckets)
+    if block == 700:
+        assert any(count > 1 for count, _ in buckets)
+        assert any(n > block and n % block for _, n in buckets)
+    if block == 10 ** 9:
+        assert len(buckets) == 1
+
+
+class TestBucketedStep:
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("spec", STANDARD_PLANS)
-    def test_blocks_bit_identical_to_per_tensor_loop(self, monkeypatch, spec, block, bucket):
-        """Buckets updated in several blocks, most with a shorter last one;
-        one bucket of everything is larger than a block, so it is gathered
-        outside the block scratch."""
-        monkeypatch.setattr(optim, "_BUCKET", bucket)
+    def test_bit_identical_to_per_tensor_loop(self, monkeypatch, spec, block):
         monkeypatch.setattr(optim, "_BLOCK", block)
         opt = self._assert_matches_reference(spec)
-        assert all(s.size == block for s in opt._scratch)
-        assert any(p.size > block and p.size % block for _, p, _, _ in opt._buckets)
+        assert_bucket_layout(opt, block)
 
     @staticmethod
     def _assert_matches_reference(spec):
@@ -217,10 +223,10 @@ class TestBackwardStep:
     """``backward_step(loss)`` updates each bucket inside the backward pass;
     values are those of ``loss.backward()`` then ``step()``."""
 
-    @pytest.mark.parametrize("bucket", [1, 1 << 15, 10 ** 9])
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("spec", STANDARD_PLANS)
-    def test_bit_identical_to_backward_then_step(self, monkeypatch, spec, bucket):
-        monkeypatch.setattr(optim, "_BUCKET", bucket)
+    def test_bit_identical_to_backward_then_step(self, monkeypatch, spec, block):
+        monkeypatch.setattr(optim, "_BLOCK", block)
         ref_store, ref_opt, ref_losses = train_desk(spec, AdamW)
         store, opt, losses = train_desk(spec, AdamW, in_backward=True)
         assert losses == ref_losses
@@ -234,13 +240,14 @@ class TestBackwardStep:
             assert np.array_equal(opt.first[name], ref_opt.first[name]), name
             assert np.array_equal(opt.second[name], ref_opt.second[name]), name
         assert all(t.grad is None for t in opt.params.values())
+        assert_bucket_layout(opt, block)
 
     @pytest.mark.parametrize("spec", ["fullft", "spafit:N1=1,N2=3,mode=II"])
     def test_buckets_move_inside_backward_and_drop_their_gradients(self, monkeypatch, spec):
         """With a bucket per tensor, every bucket is updated before the pass
         ends and the step after it updates none; no update ever sees every
         gradient held at once."""
-        monkeypatch.setattr(optim, "_BUCKET", 1)
+        monkeypatch.setattr(optim, "_BLOCK", 32)
         store, loss = self._desk_step_inputs(spec)
         opt = AdamW(store.trainable_parameters(), TrainConfig(learning_rate=2e-3, seed=0))
         held, left_at_step = [], []
@@ -282,10 +289,10 @@ class TestBackwardStep:
             assert not opt.first[name].any() and not opt.second[name].any(), name
             assert t._node._on_grad is None, name
 
-    @pytest.mark.parametrize("bucket", [1, 1 << 15])
+    @pytest.mark.parametrize("block", [32, 1 << 15])
     def test_parameter_the_loss_does_not_reach_rejected_before_anything_moves(
-            self, monkeypatch, bucket):
-        monkeypatch.setattr(optim, "_BUCKET", bucket)
+            self, monkeypatch, block):
+        monkeypatch.setattr(optim, "_BLOCK", block)
         store, loss = self._desk_step_inputs()
         params = dict(store.trainable_parameters(),
                       stray=Tensor(np.ones(3), requires_grad=True))
@@ -389,7 +396,7 @@ class TestDeterminism:
             return store
 
         a, b = run(), run()
-        for path in a.paths():
+        for path in a.params:
             np.testing.assert_array_equal(a.params[path].data, b.params[path].data)
         for target in a.lora:
             np.testing.assert_array_equal(a.lora[target].up.data, b.lora[target].up.data)

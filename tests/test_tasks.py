@@ -268,6 +268,25 @@ class TestSpecValidation:
         assert dataclasses.replace(REGRESSION, val_size=2).val_size == 2
         assert dataclasses.replace(PAIR, val_size=1).val_size == 1
 
+    def test_regression_split_with_one_validation_score_rejected(self):
+        """Both validation scores of this split are 0.0, so Pearson
+        correlation is undefined on it: generation refuses it, before any
+        model is built. Another seed of the same spec gives two scores."""
+        spec = TaskSpec(PAIR_REGRESSION, vocab_size=40, seq_len=11, train_size=200,
+                        val_size=2, seed=4, noise_std=0.0)
+        _, ref_val, _ = reference_generate_task(spec)
+        assert [r.label for r in ref_val] == [0.0, 0.0]
+        with pytest.raises(TaskSpecError, match="correlation is undefined"):
+            generate_task(spec)
+        _, val = generate_task(dataclasses.replace(spec, seed=6))
+        assert len({r.label for r in val}) == 2
+
+    @pytest.mark.parametrize("num_labels", [-1, 0, 1, 3])
+    def test_regression_takes_no_label_count(self, num_labels):
+        with pytest.raises(TaskSpecError, match="num_labels"):
+            dataclasses.replace(REGRESSION, num_labels=num_labels)
+        assert REGRESSION.model_num_labels == 1
+
 
 class TestEncoding:
     def test_pair_layout_and_type_ids(self):

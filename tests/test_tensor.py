@@ -85,7 +85,7 @@ class TestAttention:
     def test_no_grad_returns_bare_constant(self):
         with T.no_grad():
             out = T.attention(*self.QKV, 2)
-        assert out._parents == () and out._backward_fn is None
+        assert out._node._parents == () and out._backward_fn is None
         # identical keys give uniform weights: every position averages v
         np.testing.assert_array_equal(out.data, np.ones((2, 3, 4)))
 
@@ -352,7 +352,7 @@ class TestConsumedGraph:
             assert node._parents == () and node._backward_fn is T._consumed, node
             assert node.grad is None
         for leaf in leaves:
-            assert leaf._parents == () and leaf._backward_fn is None
+            assert leaf._node._parents == () and leaf._backward_fn is None
             assert leaf.grad is not None
 
     def test_second_backward_raises_before_any_closure_runs(self):
@@ -384,7 +384,7 @@ class TestConsumedGraph:
         T.backward(x)
         np.testing.assert_array_equal(x.grad, 1.0)
         T.backward(x)  # nothing was consumed
-        assert x._parents == () and x._backward_fn is None
+        assert x._node._parents == () and x._backward_fn is None
 
     def test_node_is_freed_before_its_operands_backward_runs(self):
         x = Tensor([0.5, -1.0], requires_grad=True)
@@ -460,7 +460,7 @@ class TestNoGrad:
         with T.no_grad():
             out = T.gelu(T.linear(x, w, Tensor(np.zeros(3))))
         assert not out.requires_grad
-        assert out._parents == () and out._backward_fn is None
+        assert out._node._parents == () and out._backward_fn is None
         T.backward(T.tensor_sum(out))
         assert w.grad is None
 
