@@ -15,7 +15,7 @@ from .model import (
     read_container,
     write_container,
 )
-from .plan import attach_factors, compile_plan, factor_shapes, parse_plan_spec, recorded_plan
+from .plan import attach_factors, compile_plan, parse_plan_spec, recorded_plan
 from .tensor import Tensor
 
 
@@ -26,7 +26,7 @@ def save_checkpoint(store, path: str | Path, plan_spec: str | None = None) -> No
     shapes; otherwise nothing is written."""
     plan = compile_plan(parse_plan_spec(plan_spec), store.config) if plan_spec else None
     tensors = {name: t.data for name, t in (store.params | store.factors()).items()}
-    expected = param_shapes(store.config) | (factor_shapes(plan) if plan is not None else {})
+    expected = param_shapes(store.config) | (plan.factors if plan is not None else {})
     if {name: arr.shape for name, arr in tensors.items()} != expected:
         raise PlanError(f"plan spec {plan_spec!r} and the store's config do not "
                         "match the tensors the store holds")
@@ -55,7 +55,7 @@ def load_checkpoint_with_plan(path: str | Path):
     if header.get("plan_spec"):
         plan = recorded_plan(path, header["plan_spec"], config)
     check_tensors(path, tensors,
-                  base_shapes | (factor_shapes(plan) if plan is not None else {}))
+                  base_shapes | (plan.factors if plan is not None else {}))
 
     store = ParamStore(config)
     for name in base_shapes:

@@ -59,7 +59,8 @@ def matthews_corr(predicted: Sequence[int], gold: Sequence[int]) -> float:
 
 
 def pearson_corr(predicted: Sequence[float], gold: Sequence[float]) -> float:
-    """Sample Pearson correlation; raises when either side has zero variance."""
+    """Sample Pearson correlation, clamped to [-1, 1] against rounding; raises
+    when either side has zero variance."""
     _check_lengths(predicted, gold)
     p = np.asarray(predicted, dtype=np.float64)
     g = np.asarray(gold, dtype=np.float64)
@@ -69,7 +70,7 @@ def pearson_corr(predicted: Sequence[float], gold: Sequence[float]) -> float:
     var_g = float(np.sum(dg * dg))
     if var_p == 0.0 or var_g == 0.0:
         raise InputError("correlation undefined: zero variance on one side")
-    return float(np.sum(dp * dg) / math.sqrt(var_p * var_g))
+    return min(1.0, max(-1.0, float(np.sum(dp * dg) / math.sqrt(var_p * var_g))))
 
 
 METRICS = {

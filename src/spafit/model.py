@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -73,6 +74,9 @@ class ModelConfig:
                 f"= {min(self.hidden_size, self.ffn_size)}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+        # Stored as a plain float: equal configs share one compiled plan, and
+        # a fresh run's checkpoint header is written from the plan's config.
+        object.__setattr__(self, "dropout_p", float(self.dropout_p))
 
 
 LAYER_SUBPATHS: tuple[tuple[str, str], ...] = (
@@ -165,9 +169,6 @@ class ParamStore:
         self.lora: dict[str, LoraPair] = {}
         # Values of base tensors before an adapter swap first overwrote them.
         self.swapped_base: dict[str, np.ndarray] = {}
-        # Plans (``plan.FinetunePlan``) compiled from the specs swapped
-        # adapters record, by spec text: a pure function of it and the config.
-        self.swap_plans: dict[str, object] = {}
 
     def factors(self) -> dict[str, Tensor]:
         """Attached low-rank factors by container name, in attachment order."""
@@ -431,7 +432,7 @@ def config_from_header(header: dict) -> ModelConfig:
 
 
 def check_tensors(path: str | Path, tensors: dict[str, np.ndarray],
-                  expected_shapes: dict[str, tuple[int, ...]]) -> None:
+                  expected_shapes: Mapping[str, tuple[int, ...]]) -> None:
     """Reject by name any tensor beyond ``expected_shapes``, any missing
     tensor, and any tensor whose shape differs from its expected one."""
     for name in tensors:

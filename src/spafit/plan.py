@@ -23,9 +23,12 @@ only under full fine-tuning.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -142,19 +145,23 @@ def parse_plan_spec(text: str) -> PlanSpec:
         "fullft | fullbitfit | fulllora-I | fulllora-II | spafit:N1=_,N2=_,mode=I|II")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinetunePlan:
-    """Compiled per-path status assignment for one model configuration."""
+    """Compiled per-path status assignment for one model configuration, with
+    the layout it implies. Read-only: ``compile_plan`` shares one plan among
+    all its callers with equal arguments."""
 
     spec: PlanSpec
     config: ModelConfig
-    assignments: dict[str, ParamStatus]
-
-    @property
-    def lora_targets(self) -> list[str]:
-        """Low-rank target paths, in assignment order."""
-        return [path for path, status in self.assignments.items()
-                if status is ParamStatus.LORA_AUGMENTED]
+    assignments: Mapping[str, ParamStatus]
+    # Low-rank target paths, in path order.
+    lora_targets: tuple[str, ...]
+    # Container name -> shape of each low-rank factor: (r, in) for A, (out, r) for B.
+    factors: Mapping[str, tuple[int, int]]
+    # Container name -> shape of each tensor the plan trains, base paths in path
+    # order then ``factors``: what ``ParamStore.trainable_parameters`` yields
+    # and an adapter holds.
+    trainable: Mapping[str, tuple[int, ...]]
 
     def group_of_layer(self, layer_num: int) -> int:
         """1-based group of a 1-based encoder layer (stratified kinds only)."""
@@ -172,17 +179,24 @@ def _layer_group(spec: PlanSpec, layer_num: int) -> int:
     return 2 if spec.kind is PlanKind.FULL_BITFIT else 3
 
 
+@functools.cache
 def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
-    """Assign a status to every parameter path of ``config`` under ``spec``."""
+    """Assign a status to every parameter path of ``config`` under ``spec``
+    and derive the layout it implies. Equal arguments return the plan
+    compiled first."""
     if spec.kind is PlanKind.SPAFIT and spec.n2 > config.num_layers:
         raise PlanError(f"N2={spec.n2} exceeds the {config.num_layers}-layer stack")
 
     mode_ii = spec.kind is PlanKind.FULL_LORA_II or spec.group3_mode is Group3Mode.FT_II
     lora_subs = _LORA_SUBPATHS_II if mode_ii else _LORA_SUBPATHS_I
     group3_biases = _GROUP3_BIAS_SUBPATHS if spec.kind is PlanKind.SPAFIT else ()
+    r = config.lora_rank
     assignments: dict[str, ParamStatus] = {}
+    targets: list[str] = []
+    factors: dict[str, tuple[int, int]] = {}
+    trained: dict[str, tuple[int, ...]] = {}
 
-    for path in param_shapes(config):
+    for path, shape in param_shapes(config).items():
         layer = layer_number(path)
         if spec.kind is PlanKind.FULL_FT or is_head_path(path):
             status = ParamStatus.TUNABLE
@@ -197,8 +211,15 @@ def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
             else:  # all of group 1, and what groups 2 and 3 leave untouched
                 status = ParamStatus.FROZEN
         assignments[path] = status
+        if status is ParamStatus.LORA_AUGMENTED:
+            targets.append(path)
+            a_name, b_name = factor_names(path)
+            factors[a_name], factors[b_name] = (r, shape[1]), (shape[0], r)
+        elif status in TRAINABLE_STATUSES:
+            trained[path] = shape
 
-    return FinetunePlan(spec, config, assignments)
+    return FinetunePlan(spec, config, MappingProxyType(assignments), tuple(targets),
+                        MappingProxyType(factors), MappingProxyType(trained | factors))
 
 
 # -- attachment and merging ----------------------------------------------------
@@ -212,12 +233,11 @@ def attach_lora(store: ParamStore, plan: FinetunePlan, seed: int) -> ParamStore:
     training moves them. Returns the mutated store.
     """
     rng = np.random.default_rng(seed)
-    shapes = factor_shapes(plan)
     factors: dict[str, np.ndarray] = {}
     for target in plan.lora_targets:
         a_name, b_name = factor_names(target)
-        factors[a_name] = rng.standard_normal(shapes[a_name]) * INIT_STD
-        factors[b_name] = np.zeros(shapes[b_name])
+        factors[a_name] = rng.standard_normal(plan.factors[a_name]) * INIT_STD
+        factors[b_name] = np.zeros(plan.factors[b_name])
     attach_factors(store, plan, factors)
     return store
 
@@ -247,26 +267,6 @@ def attach_factors(store: ParamStore, plan: FinetunePlan,
             scaling=scaling)
 
 
-def factor_shapes(plan: FinetunePlan) -> dict[str, tuple[int, int]]:
-    """Container name -> shape of every low-rank factor ``plan`` attaches."""
-    shapes, r = param_shapes(plan.config), plan.config.lora_rank
-    out: dict[str, tuple[int, int]] = {}
-    for target in plan.lora_targets:
-        out_dim, in_dim = shapes[target]
-        a_name, b_name = factor_names(target)
-        out[a_name], out[b_name] = (r, in_dim), (out_dim, r)
-    return out
-
-
-def trainable_shapes(plan: FinetunePlan) -> dict[str, tuple[int, ...]]:
-    """Container name -> shape of every tensor ``plan`` trains, in the order
-    ``ParamStore.trainable_parameters`` yields them: exactly what an adapter
-    holds."""
-    shapes = param_shapes(plan.config)
-    return {path: shapes[path] for path, status in plan.assignments.items()
-            if status in TRAINABLE_STATUSES} | factor_shapes(plan)
-
-
 def lora_delta(pair: LoraPair) -> np.ndarray:
     """Effective weight update of one pair: scaling * B @ A."""
     return pair.scaling * (pair.up.data @ pair.down.data)
@@ -293,14 +293,14 @@ def merge_lora(store: ParamStore) -> ParamStore:
 
 def count_trainable(plan: FinetunePlan, config: ModelConfig,
                     include_head: bool = True) -> int:
-    """Exact trainable count by enumerating ``trainable_shapes(plan)``.
+    """Exact trainable count by enumerating ``plan.trainable``.
 
     Low-rank targets contribute their factors; their frozen base matrices
     contribute nothing. ``config`` must be the one ``plan`` was compiled for.
     """
     if config != plan.config:
         raise PlanError("plan was compiled for a different model configuration")
-    return sum(math.prod(shape) for name, shape in trainable_shapes(plan).items()
+    return sum(math.prod(shape) for name, shape in plan.trainable.items()
                if include_head or not is_head_path(name))
 
 
@@ -392,7 +392,7 @@ def export_adapter(store: ParamStore, plan: FinetunePlan, path) -> None:
     would reject the file."""
     tensors = {name: t.data for name, t in store.trainable_parameters().items()}
     if [(name, arr.shape) for name, arr in tensors.items()] \
-            != list(trainable_shapes(plan).items()):
+            != list(plan.trainable.items()):
         raise PlanError(f"the store's trainable tensors are not those {plan.spec} trains")
     write_container(path, "adapter", store.config, tensors, plan_spec=str(plan.spec))
 
@@ -403,8 +403,7 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
     The file is checked before the store changes. Base values an earlier
     swap overwrote are put back first, so the store ends as what it held
     before its first swap plus this adapter. Returns the plan now governing
-    the store, compiled on the first swap of its spec and kept in
-    ``store.swap_plans`` for later ones.
+    the store.
     """
     header, tensors = read_container(adapter_path)
     if header.get("kind") != "adapter":
@@ -417,18 +416,13 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
             f"configured {store.config}")
     if header.get("plan_spec") is None:
         raise CheckpointFormatError(f"{adapter_path}: adapter records no plan spec")
-    spec_text = header["plan_spec"]
-    plan = store.swap_plans.get(spec_text)
-    if plan is None:
-        plan = recorded_plan(adapter_path, spec_text, store.config)
-        store.swap_plans[spec_text] = plan
-    owned = trainable_shapes(plan)
-    check_tensors(adapter_path, tensors, owned)
+    plan = recorded_plan(adapter_path, header["plan_spec"], store.config)
+    check_tensors(adapter_path, tensors, plan.trainable)
 
     for path, data in store.swapped_base.items():
         store.params[path].data[...] = data
     attach_factors(store, plan, tensors)
-    for path in owned:
+    for path in plan.trainable:
         if path not in store.params:  # a factor, attached above
             continue
         if path not in store.swapped_base:

@@ -88,9 +88,10 @@ class TaskSpec:
             raise TaskSpecError(f"task seed must be >= 0, got {self.seed}")
         if self.train_size < 1 or self.val_size < 1:
             raise TaskSpecError("train/val sizes must be >= 1")
-        if self.kind == PAIR_REGRESSION and self.val_size < 2:
-            raise TaskSpecError(f"a pair_regression task needs val_size >= 2 for its "
-                                f"correlation, got {self.val_size}")
+        if self.kind == PAIR_REGRESSION and self.val_size < 3:
+            raise TaskSpecError(f"a pair_regression task needs val_size >= 3 for its "
+                                f"correlation (on two records it is always +/-1), "
+                                f"got {self.val_size}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise TaskSpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.kind == SINGLE_CLASSIFICATION:

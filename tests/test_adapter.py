@@ -100,6 +100,26 @@ class TestAttach:
         with pytest.raises(PlanError):
             attach_lora(store, plan, seed=0)
 
+    def test_store_missing_a_plan_path_rejected(self):
+        store = build_model(CFG, seed=1)
+        del store.params["encoder.layer.1.output.dense.bias"]
+        with pytest.raises(PlanError, match="'encoder.layer.1.output.dense.bias' missing"):
+            attach_lora(store, compile_plan(parse_plan_spec("fullbitfit"), CFG), seed=0)
+
+    def test_bias_rebound_to_a_matrix_rejected(self):
+        store = build_model(CFG, seed=1)
+        path = "encoder.layer.0.attention.self.query.bias"
+        store.params[path] = Tensor(np.zeros((8, 1)), requires_grad=True)
+        with pytest.raises(PlanError, match=f"{path!r} is not a 1-D bias vector"):
+            attach_lora(store, compile_plan(parse_plan_spec("fullbitfit"), CFG), seed=0)
+
+    def test_low_rank_target_rebound_to_a_vector_rejected(self):
+        store = build_model(CFG, seed=1)
+        path = "encoder.layer.1.attention.self.value.weight"
+        store.params[path] = Tensor(np.zeros(8), requires_grad=True)
+        with pytest.raises(PlanError, match=f"target {path!r} is not a 2-D matrix"):
+            attach_lora(store, compile_plan(parse_plan_spec("fulllora-I"), CFG), seed=0)
+
 
 class TestDelta:
     def test_zero_up_factor_gives_zero_delta(self):
@@ -314,21 +334,25 @@ class TestSwapAcrossPlans:
                     err_msg=context)
 
     def test_second_swap_of_a_file_compiles_nothing(self, swap_adapters, monkeypatch):
-        compiled = []
+        """The spy sits inside compilation (every compile asks the layer
+        number of each path), below the compile cache."""
+        looked_up = []
 
-        def compile_spy(spec, config, real=plan_module.compile_plan):
-            compiled.append(str(spec))
-            return real(spec, config)
+        def layer_spy(path, real=plan_module.layer_number):
+            looked_up.append(path)
+            return real(path)
 
-        monkeypatch.setattr(plan_module, "compile_plan", compile_spy)
+        monkeypatch.setattr(plan_module, "layer_number", layer_spy)
+        plan_module.compile_plan.cache_clear()
         store = build_model(SWAP_CFG, seed=4)
         path = swap_adapters["spafit:N1=1,N2=2,mode=II"]
         first = swap_adapter(store, path)
-        assert compiled == ["spafit:N1=1,N2=2,mode=II"]
+        assert looked_up
         swap_adapter(store, swap_adapters["fullbitfit"])
-        compiled.clear()
+        looked_up.clear()
         assert swap_adapter(store, path) is first
-        assert compiled == []
+        assert swap_adapter(build_model(SWAP_CFG, seed=5), path) is first
+        assert looked_up == []
 
     @pytest.mark.parametrize("bad_shape", [(1,), (5,)])
     def test_wrong_shape_rejected_before_store_changes(self, swap_adapters, bad_shape,

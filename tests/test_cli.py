@@ -447,28 +447,30 @@ class TestModelFitsTask:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    def test_one_record_regression_split_exits_2_before_generating_data(
-            self, tmp_path, capsys, monkeypatch):
-        """Pearson correlation needs two validation records; one is refused
-        when the manifest loads, not after training."""
-        path = tmp_path / "one.manifest"
+    @pytest.mark.parametrize("val_size", [1, 2])
+    def test_small_regression_split_exits_2_before_generating_data(
+            self, tmp_path, capsys, monkeypatch, val_size):
+        """Pearson correlation needs three validation records to mean
+        anything; fewer are refused when the manifest loads, not after
+        training."""
+        path = tmp_path / "small.manifest"
         path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), "task",
-                                  "kind = pair_regression\nval_size = 1"))
+                                  f"kind = pair_regression\nval_size = {val_size}"))
         monkeypatch.setattr(cli, "generate_task", _refuse_to_generate)
         monkeypatch.setattr(harness, "train_run", _refuse_to_train)
         assert main(["train", "--manifest", str(path)]) == 2
-        assert "val_size >= 2" in capsys.readouterr().err
+        assert "val_size >= 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_regression_split_with_one_validation_score_exits_2_before_building(
             self, tmp_path, capsys, monkeypatch):
-        """Both validation scores of this split are 0.0, so its correlation is
-        undefined: refused once the data is generated, before a model is
-        built or trained."""
+        """All three validation scores of this split are 1.25, so its
+        correlation is undefined: refused once the data is generated, before
+        a model is built or trained."""
         path = tmp_path / "flat.manifest"
         path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), "task",
                                   "kind = pair_regression\nseq_len = 11\ntrain_size = 200\n"
-                                  "val_size = 2\nnoise_std = 0.0\nseed = 4"))
+                                  "val_size = 3\nnoise_std = 0.0\nseed = 93"))
         monkeypatch.setattr(harness, "build_model",
                             lambda *args: pytest.fail("build_model entered"))
         monkeypatch.setattr(harness, "train_run", _refuse_to_train)

@@ -79,6 +79,14 @@ class TestExamples:
         assert abs(pearson_corr([-1, -2, -3], [1, 2, 3]) + 1.0) < 1e-15
         assert abs(pearson_corr([1, 2, 3], [1, 3, 2]) - 0.5) < 1e-15
 
+    def test_pearson_clamped_to_unit_interval(self):
+        """Both of these round one ulp past +-1 before the clamp."""
+        a = [-0.049800969059643194, 0.08661926298854213, -1.487072869675398,
+             1.6473390663560998, 0.9174879834442943]
+        assert pearson_corr(a, [3.3 * x + 0.7 for x in a]) == 1.0
+        assert pearson_corr([-0.535669373161111, 0.36159505490948474],
+                            [1.3040000451301372, 0.9470809631292422]) == -1.0
+
 
 class TestErrors:
     def test_length_mismatch(self):

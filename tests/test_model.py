@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -145,6 +146,14 @@ class TestBuildModel:
         assert (cfg.num_layers, cfg.hidden_size, cfg.type_vocab_size) == (2, 8, 2)
         assert all(type(getattr(cfg, name)) is int
                    for name in ("num_layers", "hidden_size", "type_vocab_size"))
+
+    def test_integer_dropout_stored_as_float(self):
+        """Equal configs share one compiled plan, so an int and a float
+        dropout must serialise alike."""
+        cfg = dataclasses.replace(TOY, dropout_p=0)
+        assert type(cfg.dropout_p) is float
+        assert json.dumps(dataclasses.asdict(cfg)) \
+            == json.dumps(dataclasses.asdict(dataclasses.replace(TOY, dropout_p=0.0)))
 
     @pytest.mark.parametrize("field, value", [
         ("num_layers", True), ("num_layers", 2.0), ("hidden_size", True),

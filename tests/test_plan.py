@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spafit.tensor as T
-from spafit.checkpoint import read_container
+from spafit.checkpoint import load_checkpoint_with_plan, read_container, save_checkpoint
 from spafit.errors import PlanError
 from spafit.harness import predict
 from spafit.model import ModelConfig, build_model, layer_number, model_forward, param_shapes
@@ -26,7 +26,6 @@ from spafit.plan import (
     parse_plan_spec,
     published_convention_count,
     swap_adapter,
-    trainable_shapes,
 )
 from spafit.tasks import SINGLE_CLASSIFICATION, DatasetRecord, TaskSpec, encode_batch
 
@@ -36,6 +35,10 @@ BERT_LARGE = ModelConfig(num_layers=24, hidden_size=1024, num_heads=16,
 
 TOY = ModelConfig(num_layers=4, hidden_size=8, num_heads=2, ffn_size=16,
                   vocab_size=30, max_positions=16, lora_rank=2, lora_alpha=4)
+
+# The README demo dims.
+DESK = ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
+                   vocab_size=40, max_positions=16, lora_rank=8, lora_alpha=16)
 
 # The biases a stratified plan trains in group-3 layers, and full LoRA does not.
 FEED_FORWARD_BIASES = ("intermediate.dense.bias", "output.dense.bias",
@@ -185,8 +188,8 @@ class TestStratification:
         for layers, mode in itertools.product(range(5), ("I", "II")):
             cfg = dataclasses.replace(TOY, num_layers=layers)
             full = compile_plan(parse_plan_spec(f"fulllora-{mode}"), cfg).assignments
-            stratified = compile_plan(
-                parse_plan_spec(f"spafit:N1=0,N2=0,mode={mode}"), cfg).assignments
+            stratified = dict(compile_plan(
+                parse_plan_spec(f"spafit:N1=0,N2=0,mode={mode}"), cfg).assignments)
             for path in stratified:
                 if layer_number(path) and path.split(".", 3)[3] in FEED_FORWARD_BIASES:
                     assert stratified[path] is ParamStatus.BIAS_TUNABLE, path
@@ -226,20 +229,36 @@ class TestTotality:
         plan = compile_plan(parse_plan_spec(text), TOY)
         assert set(plan.assignments) == set(param_shapes(TOY))
 
+    @pytest.mark.parametrize("cfg", [TOY, DESK], ids=["toy", "desk"])
     @pytest.mark.parametrize("text", STANDARD_PLANS)
-    def test_store_trains_exactly_what_plan_states(self, text, tmp_path):
+    def test_store_trains_exactly_what_plan_states(self, text, cfg, tmp_path):
+        """After attaching, loading a checkpoint and swapping an adapter, the
+        store trains exactly ``plan.trainable``, names and shapes in order,
+        and the adapter holds just that."""
         spec = parse_plan_spec(text)
-        plan = compile_plan(spec, TOY)
-        store = attach_lora(build_model(TOY, seed=0), plan, seed=1)
-        shapes = list(trainable_shapes(plan).items())
-        assert [(n, t.data.shape) for n, t in store.trainable_parameters().items()] \
-            == shapes
+        plan = compile_plan(spec, cfg)
+        shapes = list(plan.trainable.items())
+        assert plan.lora_targets == tuple(
+            path for path, status in plan.assignments.items()
+            if status is ParamStatus.LORA_AUGMENTED)
+        assert list(plan.factors.items()) == shapes[len(shapes) - len(plan.factors):]
         assert sum(math.prod(shape) for _, shape in shapes) \
-            == closed_form_count(spec, TOY, True)
+            == closed_form_count(spec, cfg, True)
+
+        def trained(store):
+            return [(n, t.data.shape) for n, t in store.trainable_parameters().items()]
+
+        store = attach_lora(build_model(cfg, seed=0), plan, seed=1)
+        assert trained(store) == shapes
+        save_checkpoint(store, tmp_path / "model.ckpt", plan_spec=str(spec))
+        loaded, loaded_plan = load_checkpoint_with_plan(tmp_path / "model.ckpt")
+        assert loaded_plan is plan and trained(loaded) == shapes
         adapter = tmp_path / "task.adapter"
         export_adapter(store, plan, adapter)
         header, _ = read_container(adapter)
         assert [(e["name"], tuple(e["shape"])) for e in header["tensors"]] == shapes
+        swapped = build_model(cfg, seed=2)
+        assert swap_adapter(swapped, adapter) is plan and trained(swapped) == shapes
 
     def test_status_shape_discipline(self):
         shapes = param_shapes(TOY)
@@ -249,6 +268,27 @@ class TestTotality:
                 assert len(shapes[path]) == 2
             if status is ParamStatus.BIAS_TUNABLE:
                 assert len(shapes[path]) == 1
+
+
+class TestCompiledPlanValue:
+    def test_equal_arguments_share_one_plan(self):
+        spec = parse_plan_spec("spafit:N1=1,N2=3,mode=II")
+        plan = compile_plan(spec, DESK)
+        assert compile_plan(spec, DESK) is plan
+        assert compile_plan(parse_plan_spec(str(spec)), dataclasses.replace(DESK)) is plan
+        other = compile_plan(spec, dataclasses.replace(DESK, dropout_p=0.0))
+        assert other is not plan and other.config.dropout_p == 0.0
+
+    def test_plan_is_read_only(self):
+        plan = compile_plan(parse_plan_spec("fulllora-II"), DESK)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.spec = parse_plan_spec("fullft")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.trainable = {}
+        with pytest.raises(TypeError):
+            plan.assignments["classifier.bias"] = ParamStatus.FROZEN
+        with pytest.raises(TypeError):
+            plan.factors["classifier.bias"] = (1, 1)
 
 
 class TestCounts:

@@ -260,26 +260,28 @@ class TestSpecValidation:
             TaskSpec(kind="pair_regression", vocab_size=60, seq_len=19,
                      train_size=10, val_size=5, seed=0, noise_std=noise_std)
 
-    def test_regression_needs_two_validation_records(self):
-        """Pearson correlation is undefined on one record, so a one-record
-        regression split is refused when the spec is made, not after training."""
-        with pytest.raises(TaskSpecError, match="val_size >= 2"):
-            dataclasses.replace(REGRESSION, val_size=1)
-        assert dataclasses.replace(REGRESSION, val_size=2).val_size == 2
-        assert dataclasses.replace(PAIR, val_size=1).val_size == 1
+    @pytest.mark.parametrize("val_size", [1, 2])
+    def test_regression_needs_three_validation_records(self, val_size):
+        """Pearson correlation is undefined on one record and +-1 on any two,
+        so a smaller regression split is refused when the spec is made, not
+        after training."""
+        with pytest.raises(TaskSpecError, match="val_size >= 3"):
+            dataclasses.replace(REGRESSION, val_size=val_size)
+        assert dataclasses.replace(REGRESSION, val_size=3).val_size == 3
+        assert dataclasses.replace(PAIR, val_size=val_size).val_size == val_size
 
     def test_regression_split_with_one_validation_score_rejected(self):
-        """Both validation scores of this split are 0.0, so Pearson
+        """All three validation scores of this split are 1.25, so Pearson
         correlation is undefined on it: generation refuses it, before any
         model is built. Another seed of the same spec gives two scores."""
         spec = TaskSpec(PAIR_REGRESSION, vocab_size=40, seq_len=11, train_size=200,
-                        val_size=2, seed=4, noise_std=0.0)
+                        val_size=3, seed=93, noise_std=0.0)
         _, ref_val, _ = reference_generate_task(spec)
-        assert [r.label for r in ref_val] == [0.0, 0.0]
+        assert [r.label for r in ref_val] == [1.25, 1.25, 1.25]
         with pytest.raises(TaskSpecError, match="correlation is undefined"):
             generate_task(spec)
-        _, val = generate_task(dataclasses.replace(spec, seed=6))
-        assert len({r.label for r in val}) == 2
+        _, val = generate_task(dataclasses.replace(spec, seed=0))
+        assert [r.label for r in val] == [5.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("num_labels", [-1, 0, 1, 3])
     def test_regression_takes_no_label_count(self, num_labels):
