@@ -3,12 +3,14 @@
 A ``Tensor`` is a value (``data``) and a graph node. Every operation returns
 a new ``Tensor`` whose node keeps its operands' nodes and a closure computing
 the local vector-Jacobian product; a node never holds a value. Each closure
-captures only the arrays it reads (linear's input view, attention's q/k/v
-and scores, layer norm's ``xhat``, gelu's input and cdf, dropout's bool
-keep-mask, and so on), so an output that its consumers only route a
-gradient through (a residual add, a layer norm's or dropout's input, an
-attention output, an embedding gather) is freed once the caller drops its
-``Tensor``, while the graph lives on.
+captures only the arrays that a gradient of a grad-requiring operand reads
+(linear's input view for a trained weight or LoRA ``down``, attention's
+scores and the q/k/v heads the trained operands' gradients read, layer
+norm's ``xhat``, gelu's derivative, dropout's bool keep-mask, and so on), so
+an output that its consumers only route a gradient through (a residual add,
+a layer norm's or dropout's input, an attention output, an embedding gather,
+a frozen layer's input) is freed once the caller drops its ``Tensor``, while
+the graph lives on.
 
 ``backward`` walks the DAG once in reverse topological order and
 accumulates gradients additively into every node that requires them, so
@@ -134,15 +136,20 @@ def no_grad():
         _grad_enabled = saved
 
 
+def _builds_node(*parents: Tensor) -> bool:
+    """Whether an op over ``parents`` builds a graph node: grad is enabled
+    and some parent needs a gradient. ``_result`` decides by it, and so does
+    every op that prepares state only its backward reads."""
+    return _grad_enabled and any([p._node.requires_grad for p in parents])
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """A tensor over a new graph node that keeps the parents' nodes and
-    ``backward_fn``, or a bare constant when no parent needs a gradient (or
-    under ``no_grad``), so such subgraphs keep neither their operands nor
-    their closures alive."""
-    if _grad_enabled:
-        nodes = tuple([p._node for p in parents])
-        if any([n.requires_grad for n in nodes]):
-            return Tensor(data, requires_grad=True, parents=nodes, backward_fn=backward_fn)
+    ``backward_fn``, or a bare constant when ``_builds_node`` says no, so
+    such subgraphs keep neither their operands nor their closures alive."""
+    if _builds_node(*parents):
+        return Tensor(data, requires_grad=True, parents=tuple([p._node for p in parents]),
+                      backward_fn=backward_fn)
     return Tensor(data)
 
 
@@ -163,7 +170,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # only the arrays and sizes it uses. Its signature is then the record of
 # what the node keeps, and the binding costs one tuple where free variables
 # would cost a cell object each; every object a graph keeps adds to the
-# garbage collector's work in a training step.
+# garbage collector's work in a training step. An array that only a frozen
+# operand's gradient would read is bound as None: which operands need a
+# gradient is settled when the op runs, so memory follows the plan.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -177,11 +186,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward_fn(g, an=a._node, bn=b._node, ad=a.data, bd=b.data):
+    # Each operand's gradient reads the other's value.
+    def backward_fn(g, an=a._node, bn=b._node, a_shape=a.data.shape, b_shape=b.data.shape,
+                    ad=a.data if b.requires_grad else None,
+                    bd=b.data if a.requires_grad else None):
         if an.requires_grad:
-            an._accumulate(_unbroadcast(g * bd, ad.shape))
+            an._accumulate(_unbroadcast(g * bd, a_shape))
         if bn.requires_grad:
-            bn._accumulate(_unbroadcast(g * ad, bd.shape))
+            bn._accumulate(_unbroadcast(g * ad, b_shape))
 
     return _result(a.data * b.data, (a, b), backward_fn)
 
@@ -200,11 +212,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
 
-    def backward_fn(g, an=a._node, bn=b._node, ad=a.data, bd=b.data):
+    # Each operand's gradient reads the other's value.
+    def backward_fn(g, an=a._node, bn=b._node, a_shape=a.data.shape, b_shape=b.data.shape,
+                    ad=a.data if b.requires_grad else None,
+                    bd=b.data if a.requires_grad else None):
         if an.requires_grad:
-            an._accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            an._accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape))
         if bn.requires_grad:
-            bn._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+            bn._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape))
 
     return _result(a.data @ b.data, (a, b), backward_fn)
 
@@ -217,6 +232,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor | None = None,
     Both passes run on ``x`` flattened to 2-D ``[N, in]``: the weight
     gradient ``g2.T @ x2`` comes out in ``w``'s own ``[out, in]`` layout, and
     the low-rank path stays inside its rank-r bottleneck ``h = x2 @ down.T``.
+
+    The node holds the input view ``x2`` only when ``w`` or ``down`` needs a
+    gradient, since only their gradients read it; ``h`` only when ``up``
+    does; ``w`` and ``down`` only for ``x``'s gradient; and ``up`` only for
+    ``x``'s or ``down``'s. So a layer whose weight and ``down`` are frozen
+    (a bias-only layer, or a frozen layer under a trained one) lets its
+    input go as soon as nothing else reads it.
     """
     n_out, n_in = w.data.shape
     x_shape = x.data.shape
@@ -227,19 +249,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor | None = None,
     y2 = x2 @ w.data.T
     y2 += b.data
     parents = (x, w, b)
-    lora = None  # the pair's nodes and arrays, h and the scaling
+    x_grad = x.requires_grad
+    reads_input = w.requires_grad
+    lora = None  # the pair's nodes, the arrays its gradients read, and the scaling
     if down is not None:
         h = x2 @ down.data.T
         y2 += (h @ up.data.T) * scaling
         parents += (down, up)
-        lora = (down._node, up._node, down.data, up.data, h, scaling)
+        reads_input = reads_input or down.requires_grad
+        lora = (down._node, up._node, down.data if x_grad else None,
+                up.data if x_grad or down.requires_grad else None,
+                h if up.requires_grad else None, scaling)
 
-    def backward_fn(g, xn=x._node, wn=w._node, bn=b._node, wd=w.data, x2=x2,
+    def backward_fn(g, xn=x._node, wn=w._node, bn=b._node, n_out=n_out,
+                    wd=w.data if x_grad else None, x2=x2 if reads_input else None,
                     x_shape=x_shape, lora=lora):
-        g2 = g.reshape(-1, wd.shape[0])
+        g2 = g.reshape(-1, n_out)
         if lora is not None:
             dn, un, dd, ud, h, scaling = lora
-            gh = (g2 @ ud) * scaling
+            if xn.requires_grad or dn.requires_grad:
+                gh = (g2 @ ud) * scaling
         if xn.requires_grad:
             gx = g2 @ wd
             if lora is not None:
@@ -295,7 +324,7 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
 
-    def backward_fn(g, xn=x._node, s=s):
+    def backward_fn(g, xn=x._node, s=s):  # its output: the gradient reads it
         inner = (g * s).sum(axis=-1, keepdims=True)
         xn._accumulate(s * (g - inner))
 
@@ -338,7 +367,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     merged = np.empty((batch, q_len, num_heads, hd))
     np.matmul(s, vh, out=np.transpose(merged, (0, 2, 1, 3)))
 
-    def backward_fn(g, qn=q._node, kn=k._node, vn=v._node, qh=qh, kt=kt, vh=vh, s=s, c=c,
+    # The probabilities ``s`` serve every gradient; ``vh`` serves q's and k's
+    # (through the scores' gradient), ``kt`` q's and ``qh`` k's.
+    q_grad, k_grad = q.requires_grad, k.requires_grad
+
+    def backward_fn(g, qn=q._node, kn=k._node, vn=v._node, s=s, c=c,
+                    qh=qh if k_grad else None, kt=kt if q_grad else None,
+                    vh=vh if q_grad or k_grad else None,
                     split=(batch, q_len, num_heads, hd), q_shape=q_shape, kv_shape=kv_shape):
         # C order, as the chain's gradient copies handed it to its matmuls.
         gc = np.ascontiguousarray(np.transpose(g.reshape(split), (0, 2, 1, 3)))
@@ -383,9 +418,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     np.multiply(xhat, gamma.data, out=data)
     data += beta.data
 
-    def backward_fn(g, xn=x._node, gn=gamma._node, bn=beta._node, gd=gamma.data,
-                    xhat=xhat, inv_std=inv_std):
-        d = xhat.shape[-1]
+    # ``xhat`` serves gamma's gradient and x's; ``gamma`` and ``inv_std``
+    # serve x's alone. beta's reads only ``g``.
+    x_grad = x.requires_grad
+
+    def backward_fn(g, xn=x._node, gn=gamma._node, bn=beta._node, d=d,
+                    gd=gamma.data if x_grad else None,
+                    xhat=xhat if x_grad or gamma.requires_grad else None,
+                    inv_std=inv_std if x_grad else None):
         if gn.requires_grad:
             gn._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         if bn.requires_grad:
@@ -416,32 +456,40 @@ def gelu(x: Tensor) -> Tensor:
     It is faster because that sign test is a branch in SciPy's per-element
     loop which zero-mean pre-activations take each way about half the time;
     on |x| it always goes the same way.
+
+    When the call builds a node, the forward also computes the derivative
+    ``cdf + x * exp(-x^2 / 2) / sqrt(2 pi)`` and the node holds that one
+    array, neither ``x`` nor the cdf; backward multiplies it by ``g``. A
+    call that builds no node (under ``no_grad``, or on a frozen input) does
+    no extra work.
     """
-    cdf = np.abs(x.data)
+    xd = x.data
+    cdf = np.abs(xd)
     cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
-    np.copysign(cdf, x.data, out=cdf)
+    np.copysign(cdf, xd, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    data = xd * cdf
+    if not _builds_node(x):
+        return Tensor(data)
+    d = xd * -0.5
+    d *= xd
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= xd
+    d += cdf
 
-    def backward_fn(g, xn=x._node, xd=x.data, cdf=cdf):
-        # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)), built in one buffer
-        dx = xd * -0.5
-        dx *= xd
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT_2PI
-        dx *= xd
-        dx += cdf
-        dx *= g
-        xn._accumulate(dx)
+    def backward_fn(g, xn=x._node, d=d):  # a new array: ``d`` is never written
+        xn._accumulate(d * g)
 
-    return _result(x.data * cdf, (x,), backward_fn)
+    return _result(data, (x,), backward_fn)
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
-    def backward_fn(g, xn=x._node, t=t):
+    def backward_fn(g, xn=x._node, t=t):  # its output: the gradient reads it
         xn._accumulate(g * (1.0 - t * t))
 
     return _result(t, (x,), backward_fn)
@@ -476,7 +524,7 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     keep = draws >= p
     gain = 1.0 / (1.0 - p)  # keep * gain has the bits of keep / (1 - p)
 
-    def backward_fn(g, xn=x._node, keep=keep, gain=gain):
+    def backward_fn(g, xn=x._node, keep=keep, gain=gain):  # the gradient reads the mask
         dx = keep * gain
         dx *= g
         xn._accumulate(dx)
@@ -487,9 +535,18 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of ``table`` by integer id; grads scatter-add back."""
+    """Gather rows of ``table`` by integer id; grads scatter-add back. An id
+    outside ``[0, rows)``, or ids that are not integers, raise
+    ``InputError``: numpy would read a negative id from the end."""
     ids = np.asarray(ids)
+    rows = table.data.shape[0]
+    if ids.dtype.kind not in "iu":
+        raise InputError(f"embedding ids must be an integer array, got {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise InputError(f"embedding ids must lie in [0, {rows}), got range "
+                         f"[{ids.min()}, {ids.max()}]")
 
+    # The ids: the scatter-add reads them.
     def backward_fn(g, tn=table._node, ids=ids, shape=table.data.shape):
         acc = np.zeros(shape)
         np.add.at(acc, ids.reshape(-1), g.reshape(-1, shape[-1]))
@@ -502,7 +559,7 @@ def _select_position(x: Tensor, index) -> Tensor:
     if x.data.ndim != 3:
         raise ShapeError(f"position selection expects a 3-D tensor, got {x.data.shape}")
 
-    def backward_fn(g, xn=x._node, index=index, shape=x.data.shape):
+    def backward_fn(g, xn=x._node, index=index, shape=x.data.shape):  # sizes only
         acc = np.zeros(shape)
         acc[:, index] = g
         xn._accumulate(acc)
@@ -543,6 +600,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     data = np.asarray((np.log(sums[:, 0]) - picked).mean())
     probs /= sums
 
+    # The probabilities and labels: the gradient is probs minus one-hot.
     def backward_fn(g, ln=logits._node, probs=probs, labels=labels):
         n = len(labels)
         d = probs.copy()
@@ -562,7 +620,7 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
                          f"prediction {pred.data.shape}")
     diff = pred.data - target
 
-    def backward_fn(g, pn=pred._node, diff=diff):
+    def backward_fn(g, pn=pred._node, diff=diff):  # the residual: the gradient reads it
         pn._accumulate(float(g) * 2.0 * diff / diff.size)
 
     return _result(np.asarray((diff * diff).mean()), (pred,), backward_fn)

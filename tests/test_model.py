@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -340,6 +341,15 @@ class TestModelForward:
         with pytest.raises(InputError, match="token id"):
             model_forward(store, tokens, np.zeros((1, 4), np.int64), mode="eval")
 
+    @pytest.mark.parametrize("tokens,types,message", [
+        (np.full((1, 4), -1), np.zeros((1, 4), np.int64), "token id out of range"),
+        (np.zeros((1, 4), np.int64), np.full((1, 4), -1), "type id out of range"),
+        (np.zeros((1, 4), np.int64), np.full((1, 4), 2), "type id out of range"),
+    ], ids=["negative-token", "negative-type", "type-past-end"])
+    def test_ids_keep_the_model_messages(self, tokens, types, message):
+        with pytest.raises(InputError, match=message):
+            model_forward(build_model(TOY, seed=2), tokens, types, mode="eval")
+
     @pytest.mark.parametrize("tokens,types", [
         (np.zeros((0, 4), np.int64), np.zeros((0, 4), np.int64)),
         (np.zeros((2, 0), np.int64), np.zeros((2, 0), np.int64)),
@@ -538,6 +548,45 @@ def reachable(loss: Tensor) -> list[T._Node]:
     return out
 
 
+def saved_arrays(backward_fn) -> list[np.ndarray]:
+    """The arrays a closure holds: it binds what it reads as default
+    arguments, and ``linear`` binds its LoRA pair's as one tuple."""
+    out = []
+    for value in backward_fn.__defaults__:
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                out.append(item)
+    return out
+
+
+def bound(backward_fn) -> dict[str, object]:
+    """A closure's default arguments by name."""
+    code, defaults = backward_fn.__code__, backward_fn.__defaults__
+    names = code.co_varnames[:code.co_argcount]
+    return dict(zip(names[len(names) - len(defaults):], defaults))
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory: a view keeps all of it alive."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def graph_bytes(store, loss: Tensor) -> int:
+    """Bytes the closures of ``loss``'s graph hold, each buffer counted once,
+    leaving out the store's parameters and factors, which live without it."""
+    own = {id(_buffer(t.data)) for t in (store.params | store.factors()).values()}
+    held = {}
+    for node in reachable(loss):
+        if node._backward_fn is not None:
+            for a in saved_arrays(node._backward_fn):
+                buf = _buffer(a)
+                if id(buf) not in own:
+                    held[id(buf)] = buf.nbytes
+    return sum(held.values())
+
+
 class TestTrainingGraph:
     @pytest.mark.parametrize("spec,closures", [
         ("fullft", 73),
@@ -552,6 +601,32 @@ class TestTrainingGraph:
         72/65/65/50 cuts the last layer's query stream to position 0)."""
         _, loss = desk_loss(spec)
         assert sum(n._backward_fn is not None for n in reachable(loss)) == closures
+
+    @pytest.mark.parametrize("spec", STANDARD_PLANS)
+    def test_frozen_linear_layers_hold_no_input(self, desk_loss, spec):
+        """A ``linear`` whose weight and LoRA ``down`` are frozen binds no
+        array shaped like its input: no gradient it computes reads one."""
+        store, loss = desk_loss(spec)
+        own = {id(t.data) for t in (store.params | store.factors()).values()}
+        frozen = 0
+        for node in reachable(loss):
+            fn = node._backward_fn
+            if fn is None or fn.__qualname__ != "linear.<locals>.backward_fn":
+                continue
+            args = bound(fn)
+            if args["wn"].requires_grad or (args["lora"] is not None
+                                            and args["lora"][0].requires_grad):
+                continue
+            frozen += 1
+            x_shape = args["x_shape"]
+            inputs = {x_shape, (math.prod(x_shape[:-1]), x_shape[-1])}
+            assert not [a.shape for a in saved_arrays(fn)
+                        if a.shape in inputs and id(a) not in own], (spec, x_shape)
+        assert (frozen > 0) == (spec != "fullft"), frozen
+
+    @pytest.mark.parametrize("spec", ["fullbitfit", "fulllora-II", "spafit:N1=1,N2=2,mode=II"])
+    def test_peft_graph_holds_fewer_bytes_than_fullft(self, desk_loss, spec):
+        assert graph_bytes(*desk_loss(spec)) < graph_bytes(*desk_loss("fullft"))
 
     def test_frozen_subgraphs_keep_no_graph(self, desk_loss):
         _, loss = desk_loss("spafit:N1=1,N2=2,mode=II")

@@ -11,7 +11,7 @@ import scipy
 import spafit.tensor as T
 from spafit.errors import GraphError, InputError, ShapeError, SpafitError
 from spafit.tensor import Tensor
-from test_model import reachable
+from test_model import reachable, saved_arrays
 
 
 class TestMatmul:
@@ -406,10 +406,43 @@ class TestConsumedGraph:
         np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0 * x.data) ** 2))
 
 
-def saved_arrays(t: Tensor) -> list[np.ndarray]:
-    """The arrays the closure of ``t``'s node holds (it binds what it reads
-    as default arguments)."""
-    return [a for a in t._backward_fn.__defaults__ if isinstance(a, np.ndarray)]
+def held(out: Tensor, inputs: dict[str, np.ndarray]) -> list[str]:
+    """What ``out``'s closure holds, sorted: the name of each input an array
+    shares memory with, or ``new`` and the shape of one made by the op."""
+    names = []
+    for a in saved_arrays(out._backward_fn):
+        shared = [name for name, v in inputs.items() if np.shares_memory(a, v)]
+        names.append(shared[0] if shared else f"new{a.shape}")
+    return sorted(names)
+
+
+# Each audited op: how a case calls it on its input tensors, and their names.
+AUDITED_OPS = {
+    "linear": (lambda ts: T.linear(*ts, scaling=1.5), ("x", "w", "b", "down", "up")),
+    "attention": (lambda ts: T.attention(*ts, num_heads=2), ("q", "k", "v")),
+    "layer_norm": (lambda ts: T.layer_norm(*ts), ("x", "gamma", "beta")),
+    "mul": (lambda ts: T.mul(*ts), ("a", "b")),
+    "matmul": (lambda ts: T.matmul(*ts), ("a", "b")),
+}
+LINEAR, LORA = [(2, 5, 3), (4, 3), (4,)], [(2, 5, 3), (4, 3), (4,), (2, 3), (4, 2)]
+# (op, input shapes, which inputs need a gradient, what the closure holds):
+# every case drops an array that only a frozen input's gradient would read.
+AUDIT_CASES = [
+    ("linear", LINEAR, (True, False, True), ["w"]),
+    ("linear", LINEAR, (False, True, True), ["x"]),
+    ("linear", LORA, (False, False, True, False, True), ["new(10, 2)"]),
+    ("linear", LORA, (False, False, False, True, True), ["new(10, 2)", "up", "x"]),
+    ("linear", LORA, (True, False, True, False, False), ["down", "up", "w"]),
+    ("attention", [(2, 3, 4)] * 3, (True, False, False), ["k", "new(2, 2, 3, 3)", "v"]),
+    ("attention", [(2, 3, 4)] * 3, (False, True, False), ["new(2, 2, 3, 3)", "q", "v"]),
+    ("attention", [(2, 3, 4)] * 3, (False, False, True), ["new(2, 2, 3, 3)"]),
+    ("layer_norm", [(4, 6), (6,), (6,)], (False, False, True), []),
+    ("layer_norm", [(4, 6), (6,), (6,)], (False, True, True), ["new(4, 6)"]),
+    ("mul", [(3, 4), (4,)], (True, False), ["b"]),
+    ("mul", [(3, 4), (4,)], (False, True), ["a"]),
+    ("matmul", [(3, 4), (4, 2)], (True, False), ["b"]),
+    ("matmul", [(3, 4), (4, 2)], (False, True), ["a"]),
+]
 
 
 class TestGraphRetention:
@@ -429,7 +462,7 @@ class TestGraphRetention:
     def test_read_arrays_live_until_their_closure_runs(self):
         x = Tensor([0.5, -1.0], requires_grad=True)
         h = T.tanh(T.scale(x, 2.0))  # tanh's backward reads its own output
-        y = T.gelu(h)  # gelu's reads its input
+        y = T.gelu(h)  # gelu's holds its derivative, not its input
         loss = T.tensor_sum(y)
         values = [weakref.ref(h.data), weakref.ref(y.data)]
         del h, y
@@ -440,12 +473,82 @@ class TestGraphRetention:
     def test_train_dropout_node_saves_a_bool_mask(self):
         x = Tensor(np.ones((4, 6)), requires_grad=True)
         out = T.dropout(x, 0.3, "train", np.random.default_rng(5))
-        (keep,) = saved_arrays(out)
+        (keep,) = saved_arrays(out._backward_fn)
         assert keep.dtype == np.bool_ and keep.shape == (4, 6)
         np.testing.assert_array_equal(out.data, np.divide(keep, 0.7))
         g = np.random.default_rng(6).standard_normal((4, 6))
         out._backward_fn(g)
         np.testing.assert_array_equal(x.grad, g * np.divide(keep, 0.7))
+
+    @pytest.mark.parametrize("x_grad", [False, True], ids=["x-frozen", "x-trained"])
+    @pytest.mark.parametrize("pair", [None, (False, False), (False, True)],
+                             ids=["no-pair", "frozen-pair", "trained-up"])
+    def test_linear_with_frozen_weight_frees_its_input(self, x_grad, pair):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=x_grad)
+        w = Tensor(rng.standard_normal((4, 3)))
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        lora = () if pair is None else (
+            Tensor(rng.standard_normal((2, 3)), requires_grad=pair[0]),
+            Tensor(rng.standard_normal((4, 2)), requires_grad=pair[1]))
+        out = T.linear(x, w, b, *lora, scaling=1.5)
+        value = weakref.ref(x.data)
+        del x
+        assert value() is None
+        T.tensor_sum(out).backward()
+        np.testing.assert_array_equal(b.grad, np.full(4, 10.0))
+
+    @pytest.mark.parametrize("trained", ["weight", "down"])
+    def test_linear_with_trained_weight_or_down_keeps_its_input_alone(self, trained):
+        """The input view is held for the weight's or ``down``'s gradient;
+        the frozen input's gradient is not taken, so no weight is held for it."""
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 5, 3)))
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=trained == "weight")
+        down = Tensor(rng.standard_normal((2, 3)), requires_grad=trained == "down")
+        up = Tensor(rng.standard_normal((4, 2)))
+        out = T.linear(x, w, Tensor(np.zeros(4)), down, up, 1.5)
+        inputs = {"x": x.data, "w": w.data, "down": down.data, "up": up.data}
+        assert held(out, inputs) == (["x"] if trained == "weight" else ["up", "x"])
+        value = weakref.ref(x.data)
+        del x, inputs
+        assert value() is not None
+
+    def test_gelu_holds_its_derivative_alone(self):
+        raw = 3.0 * np.random.default_rng(7).standard_normal((4, 6))
+        x = Tensor(raw.copy(), requires_grad=True)
+        out = T.gelu(x)
+        (d,) = saved_arrays(out._backward_fn)
+        cdf = 0.5 * (1.0 + scipy.special.erf(raw * T._INV_SQRT2))
+        np.testing.assert_array_equal(d, cdf + raw * (np.exp(-0.5 * raw * raw)
+                                                      * T._INV_SQRT_2PI))
+        value = weakref.ref(x.data)
+        del x
+        assert value() is None
+
+    @pytest.mark.parametrize("name,shapes,flags,expected", AUDIT_CASES,
+                             ids=[f"{c[0]}-" + "".join("TF"[not f] for f in c[2])
+                                  for c in AUDIT_CASES])
+    def test_closure_drops_what_only_frozen_inputs_read(self, name, shapes, flags, expected):
+        """Each closure holds what the trained inputs' gradients read and
+        nothing else, and those gradients equal an all-trained node's."""
+        call, names = AUDITED_OPS[name]
+        rng = np.random.default_rng(8)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        g = rng.standard_normal(call([Tensor(a) for a in arrays]).shape)
+        grads = []
+        for trained in (flags, (True,) * len(flags)):
+            ts = [Tensor(a, requires_grad=f) for a, f in zip(arrays, trained)]
+            out = call(ts)
+            if trained == flags:
+                assert held(out, dict(zip(names, arrays))) == expected
+            out._backward_fn(g)
+            grads.append([t.grad for t in ts])
+        for f, part, full in zip(flags, *grads):
+            if f:
+                np.testing.assert_array_equal(part, full)
+            else:
+                assert part is None
 
 
 class TestNoGrad:
@@ -492,6 +595,18 @@ class TestGradientLayout:
             assert not any(np.shares_memory(g, other) for other_name, other in grads.items()
                            if other_name != name), name
             assert not any(np.shares_memory(g, t.data) for t in params.values()), name
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("ids", [np.array([5]), np.array([4]), np.array([[0, -1]])],
+                             ids=["past-end", "rows", "negative"])
+    def test_out_of_range_id_raises_input_error(self, ids):
+        with pytest.raises(InputError, match=r"embedding ids must lie in \[0, 4\)"):
+            T.embedding(Tensor(np.ones((4, 2))), ids)
+
+    def test_non_integer_ids_raise_input_error(self):
+        with pytest.raises(InputError, match="integer"):
+            T.embedding(Tensor(np.ones((4, 2))), np.array([1.0]))
 
 
 class TestLosses:
