@@ -199,13 +199,33 @@ def primitive_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tens
     return T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, q_len, hidden))
 
 
-@pytest.mark.parametrize("shape", [(2, 5, 8), (2, 5, 12), (2, 1, 12), (2, 3, 12)])
-def test_attention_matches_primitive_chain_bitwise(rng, shape):
+# q's shape, the key count, and whether ``_row_max`` loops over the key
+# columns of the batch * 2 heads * q_len score rows.
+ATTENTION_CASES = [
+    ((2, 5, 8), 5, False),
+    ((2, 5, 12), 5, False),
+    ((2, 1, 12), 5, False),
+    ((2, 3, 12), 5, False),
+    ((16, 5, 12), 5, True),     # 160 rows of 5 keys: the fewest that loop
+    ((80, 1, 12), 5, True),     # one query per example, as in the cut last layer
+    ((16, 11, 8), 11, True),
+    ((20, 40, 12), 40, True),   # 64,000 scores
+    ((520, 8, 12), 8, False),   # 66,560 scores: over the cap
+    ((24, 46, 12), 46, False),  # past the longest key axis that loops
+]
+
+
+@pytest.mark.parametrize("shape, keys, loops", ATTENTION_CASES, ids=[
+    f"q{'x'.join(map(str, shape))}-k{keys}-{'loop' if loops else 'reduce'}"
+    for shape, keys, loops in ATTENTION_CASES])
+def test_attention_matches_primitive_chain_bitwise(rng, shape, keys, loops):
     """Two heads; at hidden 12 the scale 1/sqrt(6) is inexact, so the order
     of scale and softmax backward shows in the bits. ``shape`` is q's; k and
-    v hold 5 positions, so queries of length 1 and 3 attend to more keys, as
-    position 0 alone does in the last eval-mode layer."""
-    kv_shape = (shape[0], 5, shape[2])
+    v hold ``keys`` positions, so queries of length 1 and 3 attend to more
+    keys, as position 0 alone does in the last layer. ``primitive_attention``
+    takes its row max from ``T.softmax``, numpy's reduce, on either route."""
+    assert T._max_by_columns(shape[0] * 2 * shape[1], keys) is loops
+    kv_shape = (shape[0], keys, shape[2])
     arrays = [rng.standard_normal(s) for s in (shape, kv_shape, kv_shape)]
     w = rng.standard_normal(shape)
     runs = []
@@ -217,6 +237,69 @@ def test_attention_matches_primitive_chain_bitwise(rng, shape):
     assert runs[0][0].shape == shape
     for fused, primitive in zip(*runs):
         np.testing.assert_array_equal(fused, primitive)
+
+
+def assert_same_bits_but_nan_signs(a: np.ndarray, b: np.ndarray) -> None:
+    """Equal bits at every number, zero signs included, and NaN at the same
+    places; numpy's max reduce may return a row's NaN with the other sign
+    bit, so the sign of a NaN is not compared."""
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+    np.testing.assert_array_equal(np.where(np.isnan(a), np.nan, a).view(np.uint64),
+                                  np.where(np.isnan(b), np.nan, b).view(np.uint64))
+
+
+@pytest.mark.parametrize("batch, q_len, loops", [(4, 20, True), (2, 3, False)])
+def test_attention_special_scores_match_primitive_chain_bitwise(rng, batch, q_len, loops):
+    """Each score is ``q0 * k0 + 0.3 * 0`` over two dimensions per head, so
+    keys of +-inf and NaN against queries of either sign and 0 give rows
+    holding +inf, -inf, NaN or a zero maximum; the output and all three
+    gradients match the primitive chain bit for bit, NaN signs aside."""
+    assert T._max_by_columns(batch * 2 * q_len, 5) is loops
+    pool = np.array([[np.inf, 0.5, -1.0, 2.0, 0.25], [-np.inf, 0.5, -1.0, 2.0, 0.25],
+                     [np.nan, 1.0, -0.5, 0.75, -2.0], [0.0, -1.0, -2.0, -0.5, -3.0]])
+    k = np.zeros((batch, 5, 2, 2))
+    k[..., 0] = np.stack([pool[[(2 * b) % 4, (2 * b + 1) % 4]].T for b in range(batch)])
+    q = np.full((batch, q_len, 2, 2), 0.3)
+    q[..., 0] = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0], size=(batch, q_len, 2))
+    q, k = q.reshape(batch, q_len, 4), k.reshape(batch, 5, 4)
+    v = rng.standard_normal(k.shape)
+    w = rng.standard_normal(q.shape)
+    runs = []
+    with np.errstate(all="ignore"):
+        scores = np.einsum("bihd,bjhd->bhij", q.reshape(batch, q_len, 2, 2),
+                           k.reshape(batch, 5, 2, 2))
+        row_max = scores.max(axis=-1)
+        for fn in (T.attention, primitive_attention):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+            out = fn(*ts, 2)
+            weighted_sum(out, w).backward()
+            runs.append([out.data] + [t.grad for t in ts])
+    assert np.isposinf(scores).any() and np.isneginf(scores).any() and np.isnan(scores).any()
+    assert (row_max == 0).any() and np.isposinf(row_max).any()
+    assert np.isnan(runs[0][0]).any() and np.isfinite(runs[0][0]).any()
+    for fused, primitive in zip(*runs):
+        assert_same_bits_but_nan_signs(fused, primitive)
+
+
+@pytest.mark.parametrize("rows, keys, loops",
+                         [(160, 5, True), (4, 5, False), (2048, 32, True), (64, 64, False)])
+def test_row_max_shift_matches_numpy_max_bitwise(rng, rows, keys, loops):
+    """``exp(s - max)`` has the same bits with either route's maximum, NaN
+    signs aside, on rows whose maximum is +0 or -0 (the routes may return
+    either zero) or that hold +-inf or NaNs of either sign."""
+    assert T._max_by_columns(rows, keys) is loops
+    s = -rng.random((rows, keys)) - 1.0
+    nan, negative_nan = np.nan, np.copysign(np.nan, -1.0)
+    for r, row in enumerate(s):
+        i, j = rng.choice(keys, 2, replace=False)
+        row[i], row[j] = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (np.inf, 1.0),
+                          (-np.inf, 1.0), (nan, 0.0), (negative_nan, 0.0), (nan, negative_nan),
+                          (np.inf, -np.inf)][r % 9]
+    with np.errstate(all="ignore"):
+        looped = np.exp(s - T._row_max(s))
+        reduced = np.exp(s - s.max(axis=-1, keepdims=True))
+    assert_same_bits_but_nan_signs(looped, reduced)
 
 
 def reference_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

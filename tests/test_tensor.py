@@ -82,12 +82,50 @@ class TestAttention:
         with pytest.raises(ShapeError, match="divisible"):
             T.attention(*self.QKV, 3)
 
+    @pytest.mark.parametrize("num_heads", [2.0, True, "2", None])
+    def test_num_heads_must_be_an_integer(self, num_heads):
+        with pytest.raises(ShapeError, match="num_heads must be an integer"):
+            T.attention(*self.QKV, num_heads)
+
+    def test_numpy_integer_num_heads_accepted(self):
+        np.testing.assert_array_equal(T.attention(*self.QKV, np.int64(2)).data,
+                                      T.attention(*self.QKV, 2).data)
+
+    def test_empty_key_axis_rejected(self):
+        empty = Tensor(np.ones((2, 0, 4)))
+        with pytest.raises(ShapeError, match=r"key position.*\(2, 0, 4\)"):
+            T.attention(self.QKV[0], empty, empty, 2)
+
     def test_no_grad_returns_bare_constant(self):
         with T.no_grad():
             out = T.attention(*self.QKV, 2)
         assert out._node._parents == () and out._backward_fn is None
         # identical keys give uniform weights: every position averages v
         np.testing.assert_array_equal(out.data, np.ones((2, 3, 4)))
+
+
+class TestLinear:
+    X, W, B = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), Tensor(np.zeros(4))
+
+    def test_half_low_rank_pair_rejected(self):
+        with pytest.raises(ShapeError, match=r"down \(2, 3\), up None"):
+            T.linear(self.X, self.W, self.B, Tensor(np.ones((2, 3))))
+
+    def test_up_without_down_rejected(self):
+        with pytest.raises(ShapeError, match=r"down None, up \(4, 2\)"):
+            T.linear(self.X, self.W, self.B, up=Tensor(np.ones((4, 2))))
+
+    def test_down_of_wrong_width_rejected(self):
+        with pytest.raises(ShapeError, match=r"down \[r, 3\].*down \(2, 5\), up \(4, 2\)"):
+            T.linear(self.X, self.W, self.B, Tensor(np.ones((2, 5))), Tensor(np.ones((4, 2))))
+
+    def test_up_of_wrong_height_rejected(self):
+        with pytest.raises(ShapeError, match=r"up \[4, r\].*down \(2, 3\), up \(5, 2\)"):
+            T.linear(self.X, self.W, self.B, Tensor(np.ones((2, 3))), Tensor(np.ones((5, 2))))
+
+    def test_ranks_that_disagree_rejected(self):
+        with pytest.raises(ShapeError, match=r"down \(2, 3\), up \(4, 3\)"):
+            T.linear(self.X, self.W, self.B, Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))))
 
 
 class TestLayerNorm:
