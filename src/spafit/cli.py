@@ -5,7 +5,7 @@ Every command is driven by a manifest file and takes only the override
 flags it reads; each flag's destination is its ``load_manifest`` override
 key. Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 bad usage or malformed spec/manifest, 3 incompatible adapter, 4 training
-divergence, 5 I/O or container failure.
+divergence (a non-finite loss or logit), 5 I/O or container failure.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import numbers
 import operator
 
 
@@ -32,10 +33,12 @@ class TaskSpecError(SpafitError, ValueError):
 
 
 class TrainingDivergedError(SpafitError, RuntimeError):
-    """Training produced a non-finite loss. Carries the offending step."""
+    """Training produced a non-finite loss, or a model produced non-finite
+    outputs. Carries the offending step (None for outputs) and value."""
 
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at step {step}")
+    def __init__(self, step: int | None, loss: float):
+        super().__init__(f"non-finite model output {loss!r}" if step is None
+                         else f"non-finite loss {loss!r} at step {step}")
         self.step = step
         self.loss = loss
 
@@ -81,3 +84,15 @@ def _check_int(value, name: str, error: type[SpafitError]) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(value, name: str, error: type[SpafitError]) -> float:
+    """``value`` as a plain ``float``; raise ``error`` unless it is a real
+    number other than a bool. ``numbers.Real`` decides, so numpy floats and
+    integers pass."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error(f"{name} must be a real number that fits a float, got {value!r}")

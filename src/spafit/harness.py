@@ -53,7 +53,8 @@ _PREDICT_BATCH_SIZE = 64
 
 def predict(store: ParamStore, spec: TaskSpec, records: list[DatasetRecord]) -> np.ndarray:
     """Eval-mode predictions: class ids, or raw scores for regression. The
-    forward builds no autodiff graph."""
+    forward builds no autodiff graph. A non-finite logit means the weights
+    have diverged, and raises ``TrainingDivergedError`` rather than score."""
     if not records:
         raise InputError("predict needs at least one record")
     outputs = []
@@ -62,6 +63,9 @@ def predict(store: ParamStore, spec: TaskSpec, records: list[DatasetRecord]) -> 
         tokens, types = encode_batch(spec, chunk)
         with T.no_grad():
             logits = model_forward(store, tokens, types, mode="eval")
+        finite = np.isfinite(logits.data)
+        if not finite.all():
+            raise TrainingDivergedError(None, float(logits.data[~finite][0]))
         if spec.kind == PAIR_REGRESSION:
             outputs.append(logits.data[:, 0])
         else:

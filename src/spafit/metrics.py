@@ -1,7 +1,8 @@
 """Evaluation metrics: accuracy, binary F1, Matthews and Pearson correlation.
 
 Degenerate denominators follow fixed conventions: F1 and Matthews return 0,
-Pearson raises (a correlation against a constant vector is undefined).
+Pearson raises (a correlation against a constant vector is undefined, as is
+one over a NaN or an infinity).
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ def matthews_corr(predicted: Sequence[int], gold: Sequence[int]) -> float:
 
 def pearson_corr(predicted: Sequence[float], gold: Sequence[float]) -> float:
     """Sample Pearson correlation, clamped to [-1, 1] against rounding; raises
-    when either side has zero variance."""
+    when either side holds a non-finite value or has zero variance."""
     _check_lengths(predicted, gold)
     p = np.asarray(predicted, dtype=np.float64)
     g = np.asarray(gold, dtype=np.float64)
+    if not (np.isfinite(p).all() and np.isfinite(g).all()):
+        raise InputError("correlation undefined: non-finite values")
     dp = p - p.mean()
     dg = g - g.mean()
     var_p = float(np.sum(dp * dp))

@@ -34,6 +34,7 @@ from .errors import (
     ShapeError,
     UnknownTensorError,
     _check_int,
+    _check_real,
 )
 from .tensor import Tensor
 
@@ -72,11 +73,12 @@ class ModelConfig:
             raise ConfigError(
                 f"lora_rank {self.lora_rank} exceeds min(hidden_size, ffn_size) "
                 f"= {min(self.hidden_size, self.ffn_size)}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
         # Stored as a plain float: equal configs share one compiled plan, and
         # a fresh run's checkpoint header is written from the plan's config.
-        object.__setattr__(self, "dropout_p", float(self.dropout_p))
+        object.__setattr__(self, "dropout_p",
+                           _check_real(self.dropout_p, "dropout_p", ConfigError))
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
 
 
 LAYER_SUBPATHS: tuple[tuple[str, str], ...] = (

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, OptimizerError, _check_int
+from .errors import ConfigError, OptimizerError, _check_int, _check_real
 from .tensor import Tensor
 
 # Best-performing learning rates: PEFT plans prefer the larger one, full
@@ -43,6 +43,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.learning_rate is not None:
+            object.__setattr__(self, "learning_rate",
+                               _check_real(self.learning_rate, "learning_rate", ConfigError))
+        for name in ("weight_decay", "eps"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, ConfigError))
+        try:
+            betas = tuple(self.betas)
+        except TypeError:  # not iterable
+            betas = ()
+        if len(betas) != 2:
+            raise ConfigError(f"betas must be a pair, got {self.betas!r}")
+        object.__setattr__(self, "betas", tuple(_check_real(b, "betas", ConfigError)
+                                                for b in betas))
         if self.learning_rate is not None and not (
                 math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")

@@ -167,6 +167,10 @@ class FinetunePlan:
         """1-based group of a 1-based encoder layer (stratified kinds only)."""
         if self.spec.kind is not PlanKind.SPAFIT:
             raise PlanError(f"{self.spec} has no layer groups")
+        layer_num = _check_int(layer_num, "layer number", PlanError)
+        if not 1 <= layer_num <= self.config.num_layers:
+            raise PlanError(f"layer {layer_num} is outside the "
+                            f"{self.config.num_layers}-layer stack (layers count from 1)")
         return _layer_group(self.spec, layer_num)
 
 
@@ -179,13 +183,18 @@ def _layer_group(spec: PlanSpec, layer_num: int) -> int:
     return 2 if spec.kind is PlanKind.FULL_BITFIT else 3
 
 
+def _check_fits(spec: PlanSpec, config: ModelConfig) -> None:
+    """Raise ``PlanError`` if ``spec``'s group boundaries pass ``config``'s stack."""
+    if spec.kind is PlanKind.SPAFIT and spec.n2 > config.num_layers:
+        raise PlanError(f"N2={spec.n2} exceeds the {config.num_layers}-layer stack")
+
+
 @functools.cache
 def compile_plan(spec: PlanSpec, config: ModelConfig) -> FinetunePlan:
     """Assign a status to every parameter path of ``config`` under ``spec``
     and derive the layout it implies. Equal arguments return the plan
     compiled first."""
-    if spec.kind is PlanKind.SPAFIT and spec.n2 > config.num_layers:
-        raise PlanError(f"N2={spec.n2} exceeds the {config.num_layers}-layer stack")
+    _check_fits(spec, config)
 
     mode_ii = spec.kind is PlanKind.FULL_LORA_II or spec.group3_mode is Group3Mode.FT_II
     lora_subs = _LORA_SUBPATHS_II if mode_ii else _LORA_SUBPATHS_I
@@ -306,7 +315,9 @@ def count_trainable(plan: FinetunePlan, config: ModelConfig,
 
 def closed_form_count(spec: PlanSpec, config: ModelConfig,
                       include_head: bool = True) -> int:
-    """Trainable count from arithmetic alone; must equal the enumeration."""
+    """Trainable count from arithmetic alone; must equal the enumeration,
+    and refuses the specs ``compile_plan`` refuses."""
+    _check_fits(spec, config)
     d, f, L, r = (config.hidden_size, config.ffn_size,
                   config.num_layers, config.lora_rank)
     head = (d * d + d) + (config.num_labels * d + config.num_labels) \
@@ -400,10 +411,10 @@ def export_adapter(store: ParamStore, plan: FinetunePlan, path) -> None:
 def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
     """Retarget ``store`` to the task captured in an adapter file.
 
-    The file is checked before the store changes. Base values an earlier
-    swap overwrote are put back first, so the store ends as what it held
-    before its first swap plus this adapter. Returns the plan now governing
-    the store.
+    The file is checked before the store changes. Each tensor any swap has
+    overwritten is written once, with this adapter's value or the base
+    value it held before its first swap, so the store ends as that base plus
+    this adapter. Returns the plan now governing the store.
     """
     header, tensors = read_container(adapter_path)
     if header.get("kind") != "adapter":
@@ -419,13 +430,10 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
     plan = recorded_plan(adapter_path, header["plan_spec"], store.config)
     check_tensors(adapter_path, tensors, plan.trainable)
 
-    for path, data in store.swapped_base.items():
-        store.params[path].data[...] = data
     attach_factors(store, plan, tensors)
     for path in plan.trainable:
-        if path not in store.params:  # a factor, attached above
-            continue
-        if path not in store.swapped_base:
+        if path in store.params and path not in store.swapped_base:
             store.swapped_base[path] = store.params[path].data.copy()
-        store.params[path].data[...] = tensors[path]
+    for path, base in store.swapped_base.items():
+        store.params[path].data[...] = tensors.get(path, base)
     return plan

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TaskSpecError, _check_int
+from .errors import TaskSpecError, _check_int, _check_real
 from .metrics import METRICS
 
 PAD_ID, CLS_ID, SEP_ID = 0, 1, 2
@@ -92,6 +92,8 @@ class TaskSpec:
             raise TaskSpecError(f"a pair_regression task needs val_size >= 3 for its "
                                 f"correlation (on two records it is always +/-1), "
                                 f"got {self.val_size}")
+        object.__setattr__(self, "noise_std",
+                           _check_real(self.noise_std, "noise_std", TaskSpecError))
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise TaskSpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.kind == SINGLE_CLASSIFICATION:

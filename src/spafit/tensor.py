@@ -382,15 +382,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     One node in place of the reshape/transpose/matmul/scale/softmax chain,
     with the same numpy operations on the same operand layouts but the row
     max (below), whose value is the same, so value and gradients are
-    bit-identical to that chain (NaN signs aside, see ``_row_max``). The
-    forward works in place in its scores buffer and writes the head merge
-    straight into its output. The softmax's row max is a loop of
-    ``np.maximum`` over the key columns, one call per key across every
-    batch, head and query row, where there are at least 32 rows per key and
-    at most 2^16 scores (so never past 45 keys), because numpy's reduce
-    pays more set-up per short row than its comparisons cost: 138 us
-    against the loop's 32 us on ``[64, 4, 11, 11]`` scores. Elsewhere it is
-    numpy's reduce.
+    bit-identical to that chain at every head size (NaN signs aside, see
+    ``_row_max``). The forward works in place in its scores buffer and
+    writes the head merge straight into its output. The softmax's row max
+    is a loop of ``np.maximum`` over the key columns, one call per key
+    across every batch, head and query row, where there are at least 32
+    rows per key and at most 2^16 scores (so never past 45 keys), because
+    numpy's reduce pays more set-up per short row than its comparisons
+    cost: 138 us against the loop's 32 us on ``[64, 4, 11, 11]`` scores.
+    Elsewhere it is numpy's reduce.
     """
     q_shape, kv_shape = q.data.shape, k.data.shape
     if (len(q_shape) != 3 or len(kv_shape) != 3 or v.data.shape != kv_shape
@@ -428,10 +428,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
                     qh=qh if k_grad else None, kt=kt if q_grad else None,
                     vh=vh if q_grad or k_grad else None,
                     split=(batch, q_len, num_heads, hd), q_shape=q_shape, kv_shape=kv_shape):
-        # C order, as the chain's gradient copies handed it to its matmuls.
-        gc = np.ascontiguousarray(np.transpose(g.reshape(split), (0, 2, 1, 3)))
+        gh = np.transpose(g.reshape(split), (0, 2, 1, 3))
         if qn.requires_grad or kn.requires_grad:
-            gs = gc @ np.swapaxes(vh, -1, -2)
+            gs = gh @ np.swapaxes(vh, -1, -2)
             gs = (s * (gs - (gs * s).sum(axis=-1, keepdims=True))) * c
             if qn.requires_grad:
                 gq = gs @ np.swapaxes(kt, -1, -2)
@@ -440,7 +439,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
                 gkt = np.swapaxes(qh, -1, -2) @ gs
                 kn._accumulate(np.transpose(gkt, (0, 3, 1, 2)).reshape(kv_shape))
         if vn.requires_grad:
-            gv = np.swapaxes(s, -1, -2) @ gc
+            gv = np.swapaxes(s, -1, -2) @ gh
             vn._accumulate(np.transpose(gv, (0, 2, 1, 3)).reshape(kv_shape))
 
     return _result(merged.reshape(q_shape), (q, k, v), backward_fn)

@@ -305,6 +305,16 @@ def grad_flags(store):
     return {name: t.requires_grad for name, t in (store.params | store.factors()).items()}
 
 
+class WriteCounting(np.ndarray):
+    """A view that counts the writes made through it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
 def assert_same_tensors(got, want, context):
     assert got.keys() == want.keys(), context
     for name, data in want.items():
@@ -332,6 +342,18 @@ class TestSwapAcrossPlans:
                 np.testing.assert_array_equal(
                     model_forward(store, tokens, types, mode="eval").data, logits,
                     err_msg=context)
+
+    def test_each_swapped_tensor_is_written_once(self, swap_adapters):
+        """Whatever an earlier swap wrote, a swap writes each tensor any swap
+        has overwritten once, and no other base tensor."""
+        store = build_model(SWAP_CFG, seed=4)
+        for text in SWAP_PLANS[1:] + SWAP_PLANS[::-1]:  # fullft, touching all, midway
+            for t in store.params.values():
+                t.data = t.data.view(WriteCounting)
+            swap_adapter(store, swap_adapters[text])
+            writes = {path: t.data.writes for path, t in store.params.items()}
+            assert writes == {path: int(path in store.swapped_base) for path in writes}, text
+        assert store.swapped_base.keys() == store.params.keys()
 
     def test_second_swap_of_a_file_compiles_nothing(self, swap_adapters, monkeypatch):
         """The spy sits inside compilation (every compile asks the layer

@@ -10,6 +10,7 @@ import pytest
 import spafit.cli as cli
 import spafit.harness as harness
 from spafit import errors
+from spafit.checkpoint import load_checkpoint_with_plan, save_checkpoint
 from spafit.cli import main
 from spafit.errors import ManifestError, SpafitError
 from spafit.manifest import load_manifest
@@ -378,6 +379,39 @@ class TestDivergence:
                      "--spec", "fullft", "--lr", "1e9"])
         assert code == 4
         assert "non-finite loss" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["pair_classification", "pair_regression"])
+    def test_one_diverged_update_exits_4_without_a_score(self, tmp_path, capsys, kind):
+        """One step at rate 1e300: its loss was finite, and the weights it
+        leaves (near 1e300) are too, but no validation logit is. Neither
+        command scores the run or writes anything."""
+        path = tmp_path / "diverged.manifest"
+        text = _set_keys(MANIFEST.format(out_dir=tmp_path / "out"), "train",
+                         "learning_rate = 1e300\nepochs = 1")
+        path.write_text(_set_keys(text, "task", f"kind = {kind}\ntrain_size = 8"))
+        for command in (["train"], ["compare", "--spec", "spafit:N1=0,N2=1,mode=II"]):
+            assert main([*command, "--manifest", str(path)]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: non-finite model output" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eval_of_a_checkpoint_with_non_finite_outputs_exits_4(self, manifest_path,
+                                                                   tmp_path, capsys):
+        """Finite weights whose logits overflow: eval prints no metric."""
+        assert main(["train", "--manifest", str(manifest_path), "--epochs", "0"]) == 0
+        ckpt = tmp_path / "out" / "model.ckpt"
+        store, plan = load_checkpoint_with_plan(ckpt)
+        store.params["pooler.dense.weight"].data[...] = 1e300
+        store.params["classifier.weight"].data[...] = 1e308
+        save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
+        capsys.readouterr()
+        assert main(["eval", "--manifest", str(manifest_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: non-finite model output" in captured.err
 
 
 def _refuse_to_train(*args, **kwargs):

@@ -212,6 +212,8 @@ ATTENTION_CASES = [
     ((20, 40, 12), 40, True),   # 64,000 scores
     ((520, 8, 12), 8, False),   # 66,560 scores: over the cap
     ((24, 46, 12), 46, False),  # past the longest key axis that loops
+    ((2, 2, 2), 5, False),      # one dimension per head, fewer queries than keys
+    ((40, 2, 2), 5, True),
 ]
 
 

@@ -107,6 +107,15 @@ class TestErrors:
         with pytest.raises(InputError, match="zero variance"):
             pearson_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("side", ["predicted", "gold"])
+    def test_non_finite_pearson(self, bad, side):
+        """No clamp turns a NaN correlation into -1: ``max(-1.0, nan)`` is -1."""
+        values, other = [1.0, bad, 3.0], [1.0, 2.0, 4.0]
+        args = (values, other) if side == "predicted" else (other, values)
+        with pytest.raises(InputError, match="non-finite"):
+            pearson_corr(*args)
+
 
 class TestOracleAgreement:
     def test_thousand_random_instances(self):

@@ -6,10 +6,11 @@ import pytest
 
 import spafit.optim as optim
 import spafit.tensor as T
-from spafit.errors import ConfigError, OptimizerError
+from spafit.errors import ConfigError, OptimizerError, TaskSpecError
 from spafit.model import ModelConfig, build_model, model_forward
 from spafit.optim import AdamW, TrainConfig
 from spafit.plan import ParamStatus, attach_lora, compile_plan, parse_plan_spec
+from spafit.tasks import TaskSpec
 from spafit.tensor import Tensor
 
 from test_plan import STANDARD_PLANS
@@ -421,9 +422,39 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", True), ("learning_rate", "0.1"),
+        pytest.param("learning_rate", 10 ** 400, id="learning_rate-past-float-range"),
+        ("eps", "1e-8"), ("eps", False), ("weight_decay", None),
+        ("betas", (0.9, 0.9, 0.9)), ("betas", (0.9,)), ("betas", 0.9), ("betas", ("0.9", 0.9)),
+    ])
+    def test_non_real_value_or_unpaired_betas_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
+                             vocab_size=30, max_positions=16, dropout_p="0.1"), ConfigError),
+        (lambda: ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
+                             vocab_size=30, max_positions=16, dropout_p=False), ConfigError),
+        (lambda: TaskSpec(kind="pair_classification", vocab_size=40, seq_len=9,
+                          train_size=8, val_size=8, seed=0, noise_std="0.1"), TaskSpecError),
+    ], ids=["dropout_p-str", "dropout_p-bool", "noise_std-str"])
+    def test_non_real_model_or_task_field_rejected(self, build, error):
+        with pytest.raises(error, match="real number"):
+            build()
+
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(batch_size=np.int64(4), epochs=np.int32(2), seed=np.uint8(3))
         assert (cfg.batch_size, cfg.epochs, cfg.seed) == (4, 2, 3)
+
+    def test_real_fields_stored_as_plain_floats(self):
+        cfg = TrainConfig(learning_rate=np.float32(0.5), weight_decay=0, eps=np.float64(1e-8),
+                          betas=[np.float32(0.5), 0])
+        assert (cfg.learning_rate, cfg.weight_decay, cfg.eps, cfg.betas) \
+            == (0.5, 0.0, 1e-8, (0.5, 0.0))
+        assert all(type(v) is float for v in (cfg.learning_rate, cfg.weight_decay, cfg.eps,
+                                              *cfg.betas))
 
     def test_large_finite_learning_rate_accepted(self):
         assert TrainConfig(learning_rate=1e9).learning_rate == 1e9

@@ -212,6 +212,14 @@ class TestStratification:
         assert plan.group_of_layer(3) == 3
         assert plan.group_of_layer(4) == 3
 
+    @pytest.mark.parametrize("layer, match", [(0, "outside"), (99, "outside"),
+                                              (1.5, "integer")])
+    def test_group_of_layer_outside_the_stack_rejected(self, layer, match):
+        cfg = dataclasses.replace(TOY, num_layers=2)
+        plan = compile_plan(parse_plan_spec("spafit:N1=1,N2=1,mode=I"), cfg)
+        with pytest.raises(PlanError, match=match):
+            plan.group_of_layer(layer)
+
     def test_embeddings_frozen_in_peft_tunable_in_full_ft(self):
         for text in ("fullbitfit", "fulllora-I", "spafit:N1=0,N2=2,mode=I"):
             plan = compile_plan(parse_plan_spec(text), TOY)
@@ -313,6 +321,18 @@ class TestCounts:
             for include_head in (True, False):
                 assert closed_form_count(spec, cfg, include_head) \
                     == count_trainable(plan, cfg, include_head), (spec, cfg)
+
+    @pytest.mark.parametrize("text", ["spafit:N1=1,N2=9,mode=I", "spafit:N1=0,N2=3,mode=II",
+                                      "spafit:N1=3,N2=3,mode=I"])
+    def test_closed_form_refuses_what_the_compiler_refuses(self, text):
+        """N2 past a 2-layer stack: both routes raise the same ``PlanError``."""
+        cfg = dataclasses.replace(TOY, num_layers=2)
+        spec = parse_plan_spec(text)
+        with pytest.raises(PlanError) as compiled:
+            compile_plan(spec, cfg)
+        with pytest.raises(PlanError) as counted:
+            closed_form_count(spec, cfg)
+        assert str(counted.value) == str(compiled.value)
 
     def test_stratified_count_monotone_in_n1(self):
         counts = [count_trainable(
