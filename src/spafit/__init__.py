@@ -27,7 +27,7 @@ from .model import (
     model_forward,
     param_shapes,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint_with_plan, save_checkpoint
 from .plan import (
     FinetunePlan,
     Group3Mode,
@@ -93,7 +93,7 @@ __all__ = [
     "export_adapter",
     "f1_binary",
     "generate_task",
-    "load_checkpoint",
+    "load_checkpoint_with_plan",
     "lora_delta",
     "matthews_corr",
     "merge_lora",

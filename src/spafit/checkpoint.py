@@ -15,27 +15,24 @@ from .model import (
     read_container,
     write_container,
 )
-from .plan import attach_factors, compile_plan, parse_plan_spec, recorded_plan
+from .plan import FinetunePlan, attach_factors, recorded_plan
 from .tensor import Tensor
 
 
-def save_checkpoint(store, path: str | Path, plan_spec: str | None = None) -> None:
-    """Write every base tensor plus any attached LoRA factors. The loader
-    expects the base tensors its config implies and attaches factors from
-    ``plan_spec``, so the store must hold exactly those tensors, in those
-    shapes; otherwise nothing is written."""
-    plan = compile_plan(parse_plan_spec(plan_spec), store.config) if plan_spec else None
+def save_checkpoint(store, path: str | Path, plan: FinetunePlan | None = None) -> None:
+    """Write every base tensor plus the LoRA factors ``plan`` attaches, and
+    record the plan's spec. The loader expects the base tensors its config
+    implies and attaches factors from that spec, so ``plan`` must be compiled
+    for the store's config and the store must hold exactly those tensors, in
+    those shapes; otherwise nothing is written."""
+    spec = None if plan is None else str(plan.spec)
     tensors = {name: t.data for name, t in (store.params | store.factors()).items()}
-    expected = param_shapes(store.config) | (plan.factors if plan is not None else {})
-    if {name: arr.shape for name, arr in tensors.items()} != expected:
-        raise PlanError(f"plan spec {plan_spec!r} and the store's config do not "
+    expected = param_shapes(store.config) | ({} if plan is None else plan.factors)
+    if {name: arr.shape for name, arr in tensors.items()} != expected \
+            or (plan is not None and plan.config != store.config):
+        raise PlanError(f"plan spec {spec!r} and the store's config do not "
                         "match the tensors the store holds")
-    write_container(path, "checkpoint", store.config, tensors, plan_spec)
-
-
-def load_checkpoint(path: str | Path):
-    """Rebuild a ParamStore; see ``load_checkpoint_with_plan``."""
-    return load_checkpoint_with_plan(path)[0]
+    write_container(path, "checkpoint", store.config, tensors, spec)
 
 
 def load_checkpoint_with_plan(path: str | Path):

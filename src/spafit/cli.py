@@ -11,9 +11,13 @@ divergence (a non-finite loss or logit), 5 I/O or container failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import load_checkpoint_with_plan, save_checkpoint
 from .errors import CheckpointError, CompatibilityError, TrainingDivergedError
@@ -111,17 +115,18 @@ def cmd_audit(args, m: RunManifest) -> int:
 
 
 def cmd_train(args, m: RunManifest) -> int:
+    started = time.perf_counter()
     plan = compile_plan(m.plan_spec, m.model_config)
     train_records, val_records = generate_task(m.task_spec)
     store, result = train_fresh(plan, m.model_seed, m.task_spec, train_records,
                                 val_records, m.train_config)
     m.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = m.out_dir / "model.ckpt"
-    save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
-    result_text = json.dumps(result.to_dict(), indent=2)
+    save_checkpoint(store, ckpt, plan)
+    result_text = json.dumps(dataclasses.asdict(result), indent=2)
     (m.out_dir / "result.json").write_text(result_text)
     print(result_text)
-    print(f"checkpoint: {ckpt}", file=sys.stderr)
+    print(f"checkpoint: {ckpt} ({time.perf_counter() - started:.1f} s)", file=sys.stderr)
     return 0
 
 
@@ -161,7 +166,7 @@ def cmd_swap_adapter(args, m: RunManifest) -> int:
     store, _ = load_checkpoint_with_plan(ckpt)
     plan = swap_adapter(store, args.adapter)
     out = ckpt if args.out_model is None else args.out_model
-    save_checkpoint(store, out, plan_spec=str(plan.spec))
+    save_checkpoint(store, out, plan)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
@@ -231,7 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, _load(args))
+        # Overflow in a diverged run is reported by the finite checks of
+        # ``train_run`` and ``predict`` as one error line, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args, _load(args))
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,12 +39,8 @@ class RunResult:
     epoch_losses: list[float]
     metric_name: str
     metric_value: float
-    wall_clock_s: float
     seed: int
     hyperparameters: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _PREDICT_BATCH_SIZE = 64
@@ -119,7 +114,6 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
         raise InputError("train_run needs at least one validation record")
     if cfg.learning_rate is None:
         cfg = replace(cfg, learning_rate=default_learning_rate(plan.spec))
-    started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamW(store.trainable_parameters(), cfg)
 
@@ -155,7 +149,6 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
         epoch_losses=epoch_losses,
         metric_name=name,
         metric_value=value,
-        wall_clock_s=time.perf_counter() - started,
         seed=cfg.seed,
         hyperparameters={
             "learning_rate": cfg.learning_rate,

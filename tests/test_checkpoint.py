@@ -2,12 +2,12 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spafit.checkpoint import (
-    load_checkpoint,
     load_checkpoint_with_plan,
     read_container,
     save_checkpoint,
@@ -45,8 +45,8 @@ def store():
 def test_round_trip_bit_exact(store, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)
-    loaded = load_checkpoint(path)
-    assert loaded.config == CFG
+    loaded, plan = load_checkpoint_with_plan(path)
+    assert plan is None and loaded.config == CFG
     assert list(loaded.params) == list(store.params)
     for p in store.params:
         np.testing.assert_array_equal(loaded.params[p].data, store.params[p].data)
@@ -57,9 +57,9 @@ def test_round_trip_with_attached_plan(store, tmp_path):
     attach_lora(store, plan, seed=9)
     store.lora["encoder.layer.1.attention.self.query.weight"].up.data[:] = 0.5
     path = tmp_path / "model.ckpt"
-    save_checkpoint(store, path, plan_spec=str(plan.spec))
+    save_checkpoint(store, path, plan)
     loaded, loaded_plan = load_checkpoint_with_plan(path)
-    assert str(loaded_plan.spec) == "spafit:N1=0,N2=1,mode=II"
+    assert loaded_plan is plan
     assert set(loaded.lora) == set(store.lora)
     for target, pair in store.lora.items():
         np.testing.assert_array_equal(loaded.lora[target].down.data, pair.down.data)
@@ -78,16 +78,18 @@ def test_saving_pairs_without_plan_spec_rejected(store, tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("attached, saved", [
-    ("fulllora-I", "fullbitfit"), ("fulllora-I", "fulllora-II"),
-    ("fullbitfit", "fulllora-I"), ("fulllora-I", "spafit:N1=0,N2=9,mode=I")])
-def test_plan_spec_not_matching_pairs_rejected(store, tmp_path, attached, saved):
-    """The loader attaches exactly the factors ``saved`` names, so a file
-    whose factors differ could not be read back; nothing is written."""
+@pytest.mark.parametrize("attached, saved, config", [
+    ("fulllora-I", "fullbitfit", CFG), ("fulllora-I", "fulllora-II", CFG),
+    ("fullbitfit", "fulllora-I", CFG),
+    ("fullbitfit", "spafit:N1=0,N2=9,mode=I", replace(CFG, num_layers=9))])
+def test_plan_spec_not_matching_pairs_rejected(store, tmp_path, attached, saved, config):
+    """The loader attaches exactly the factors ``saved`` names at the
+    store's config, so a file whose factors differ, or whose plan does not
+    fit that config, could not be read back; nothing is written."""
     attach_lora(store, compile_plan(parse_plan_spec(attached), CFG), seed=9)
     path = tmp_path / "model.ckpt"
-    with pytest.raises(PlanError):
-        save_checkpoint(store, path, plan_spec=saved)
+    with pytest.raises(PlanError, match="plan spec"):
+        save_checkpoint(store, path, compile_plan(parse_plan_spec(saved), config))
     assert not path.exists()
 
 
@@ -113,7 +115,7 @@ def test_corrupt_magic_rejected(store, tmp_path):
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError, match="magic"):
-        load_checkpoint(path)
+        load_checkpoint_with_plan(path)
 
 
 def test_version_mismatch_rejected(store, tmp_path):
@@ -123,7 +125,7 @@ def test_version_mismatch_rejected(store, tmp_path):
     raw[4] = FORMAT_VERSION + 1
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointVersionError):
-        load_checkpoint(path)
+        load_checkpoint_with_plan(path)
 
 
 def test_truncated_payload_rejected(store, tmp_path):
@@ -132,7 +134,7 @@ def test_truncated_payload_rejected(store, tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) - 16])
     with pytest.raises(CheckpointTruncatedError):
-        load_checkpoint(path)
+        load_checkpoint_with_plan(path)
 
 
 def test_extra_unknown_tensor_rejected_by_name(store, tmp_path):
@@ -141,7 +143,7 @@ def test_extra_unknown_tensor_rejected_by_name(store, tmp_path):
     tensors["mystery.weight"] = np.zeros(3)
     write_container(path, "checkpoint", CFG, tensors)
     with pytest.raises(UnknownTensorError, match="mystery.weight"):
-        load_checkpoint(path)
+        load_checkpoint_with_plan(path)
 
 
 def test_missing_tensor_rejected_by_name(store, tmp_path):
@@ -150,7 +152,7 @@ def test_missing_tensor_rejected_by_name(store, tmp_path):
     tensors.pop("pooler.dense.bias")
     write_container(path, "checkpoint", CFG, tensors)
     with pytest.raises(UnknownTensorError, match="pooler.dense.bias"):
-        load_checkpoint(path)
+        load_checkpoint_with_plan(path)
 
 
 def test_wrong_shape_rejected(store, tmp_path):
@@ -159,7 +161,7 @@ def test_wrong_shape_rejected(store, tmp_path):
     tensors["pooler.dense.bias"] = np.zeros(9)
     write_container(path, "checkpoint", CFG, tensors)
     with pytest.raises(CheckpointFormatError, match="shape"):
-        load_checkpoint(path)
+        load_checkpoint_with_plan(path)
 
 
 def test_trailing_garbage_rejected(store, tmp_path):
@@ -167,7 +169,7 @@ def test_trailing_garbage_rejected(store, tmp_path):
     save_checkpoint(store, path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(CheckpointFormatError, match="trailing"):
-        load_checkpoint(path)
+        load_checkpoint_with_plan(path)
 
 
 def test_payloads_little_endian_row_major(tmp_path):
@@ -260,13 +262,13 @@ def test_header_mutation_rejected(store, tmp_path, cli_manifest, kind, mutation)
     plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), CFG)
     attach_lora(store, plan, seed=9)
     ckpt, adapter = tmp_path / "model.ckpt", tmp_path / "task.adapter"
-    save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
+    save_checkpoint(store, ckpt, plan)
     export_adapter(store, plan, adapter)
 
     if kind == "checkpoint":
         _rewrite_header(ckpt, HEADER_MUTATIONS[mutation])
         with pytest.raises(CheckpointError):
-            load_checkpoint(ckpt)
+            load_checkpoint_with_plan(ckpt)
         argv = ["eval", "--model", str(ckpt)]
     else:
         _rewrite_header(adapter, HEADER_MUTATIONS[mutation])
@@ -302,7 +304,7 @@ def test_seeded_container_fuzz_raises_only_spafit_errors(tmp_path, cli_manifest)
     plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), cfg)
     attach_lora(store, plan, seed=9)
     ckpt, adapter = tmp_path / "model.ckpt", tmp_path / "task.adapter"
-    save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
+    save_checkpoint(store, ckpt, plan)
     export_adapter(store, plan, adapter)
     bad = tmp_path / "bad.bin"
 

@@ -10,10 +10,12 @@ import pytest
 import spafit.cli as cli
 import spafit.harness as harness
 from spafit import errors
-from spafit.checkpoint import load_checkpoint_with_plan, save_checkpoint
+from spafit.checkpoint import load_checkpoint_with_plan, read_container, save_checkpoint
 from spafit.cli import main
 from spafit.errors import ManifestError, SpafitError
 from spafit.manifest import load_manifest
+from spafit.model import build_model
+from spafit.plan import attach_lora, compile_plan
 
 MANIFEST = """\
 [model]
@@ -373,14 +375,16 @@ class TestTrainEvalRoundTrip:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # No test here ignores RuntimeWarning: ``main`` runs each command with
+    # numpy's floating-point warnings off, so a diverged run reports itself
+    # in its one ``error:`` line alone.
     def test_divergent_training_exits_4(self, manifest_path, capsys):
         code = main(["train", "--manifest", str(manifest_path),
                      "--spec", "fullft", "--lr", "1e9"])
         assert code == 4
-        assert "non-finite loss" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") and len(err.splitlines()) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["pair_classification", "pair_regression"])
     def test_one_diverged_update_exits_4_without_a_score(self, tmp_path, capsys, kind):
         """One step at rate 1e300: its loss was finite, and the weights it
@@ -394,10 +398,10 @@ class TestDivergence:
             assert main([*command, "--manifest", str(path)]) == 4
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "error: non-finite model output" in captured.err
+            assert captured.err.startswith("error: non-finite model output")
+            assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_eval_of_a_checkpoint_with_non_finite_outputs_exits_4(self, manifest_path,
                                                                    tmp_path, capsys):
         """Finite weights whose logits overflow: eval prints no metric."""
@@ -406,12 +410,13 @@ class TestDivergence:
         store, plan = load_checkpoint_with_plan(ckpt)
         store.params["pooler.dense.weight"].data[...] = 1e300
         store.params["classifier.weight"].data[...] = 1e308
-        save_checkpoint(store, ckpt, plan_spec=str(plan.spec))
+        save_checkpoint(store, ckpt, plan)
         capsys.readouterr()
         assert main(["eval", "--manifest", str(manifest_path)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: non-finite model output" in captured.err
+        assert captured.err.startswith("error: non-finite model output")
+        assert len(captured.err.splitlines()) == 1
 
 
 def _refuse_to_train(*args, **kwargs):
@@ -626,6 +631,23 @@ class TestAdapterCommands:
                      "--model", str(swapped)]) == 0
         after = json.loads(capsys.readouterr().out)
         assert after == before
+
+    def test_export_from_a_checkpoint_without_a_plan(self, manifest_path, tmp_path):
+        """A base checkpoint records no plan: export-adapter compiles the
+        manifest's spec and draws its factors from the model seed."""
+        m = load_manifest(manifest_path)
+        base = build_model(m.model_config, seed=m.model_seed)
+        ckpt, adapter = tmp_path / "base.ckpt", tmp_path / "a.adapter"
+        save_checkpoint(base, ckpt)
+        assert main(["export-adapter", "--manifest", str(manifest_path),
+                     "--model", str(ckpt), "--adapter", str(adapter)]) == 0
+        plan = compile_plan(m.plan_spec, m.model_config)
+        expected = attach_lora(base, plan, seed=m.model_seed).trainable_parameters()
+        header, tensors = read_container(adapter)
+        assert header["plan_spec"] == str(plan.spec)
+        assert list(tensors) == list(expected)
+        for name, arr in tensors.items():
+            np.testing.assert_array_equal(arr, expected[name].data)
 
     def test_incompatible_adapter_exits_3(self, manifest_path, tmp_path, capsys):
         assert main(["train", "--manifest", str(manifest_path)]) == 0

@@ -74,6 +74,13 @@ def test_matmul_gradients(rng):
     check_gradients(lambda ts: weighted_sum(T.matmul(ts[0], ts[1]), w), [a, b])
 
 
+def test_add_broadcast_gradients(rng):
+    """[3, 1] + [3, 4]: the size-1 operand's gradient sums over its axis."""
+    a, b = rng.standard_normal((3, 1)), rng.standard_normal((3, 4))
+    w = rng.standard_normal((3, 4))
+    check_gradients(lambda ts: weighted_sum(T.add(ts[0], ts[1]), w), [a, b])
+
+
 LINEAR_CASES = [(x_shape, lora, frozen)
                 for x_shape in ((5, 3), (2, 4, 3))
                 for lora in (False, True)

@@ -187,7 +187,7 @@ class TestTrainRun:
                 assert type(getattr(spec, name)) is int, name
         train, val = generate_task(task)
         _, result = fresh_run(cfg, datasets=(train, val), task=task)
-        record = json.loads(json.dumps(result.to_dict()))
+        record = json.loads(json.dumps(dataclasses.asdict(result)))
         assert record["seed"] == 3 and type(result.seed) is int
         for name in ("batch_size", "epochs"):
             assert type(result.hyperparameters[name]) is int, name

@@ -103,9 +103,14 @@ class TestErrors:
         with pytest.raises(InputError):
             matthews_corr([0, 1], [0, 3])
 
-    def test_zero_variance_pearson(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_zero_variance_pearson(self, scale):
+        """A constant side raises whatever the scale of the other."""
+        spread = [scale, 2 * scale, 3 * scale]
         with pytest.raises(InputError, match="zero variance"):
-            pearson_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            pearson_corr([1.0, 1.0, 1.0], spread)
+        with pytest.raises(InputError, match="zero variance"):
+            pearson_corr(spread, [1e-300, 1e-300, 1e-300])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("side", ["predicted", "gold"])
@@ -135,6 +140,37 @@ class TestOracleAgreement:
             pred = rng.standard_normal(n).tolist()
             gold = (np.array(pred) * rng.normal() + rng.standard_normal(n)).tolist()
             assert abs(pearson_corr(pred, gold) - naive_pearson(pred, gold)) < 1e-12
+
+
+def plain_pearson(predicted, gold):
+    """The formula ``pearson_corr`` runs on every input whose sums of squares
+    and their product lie in the normal float range."""
+    p = np.asarray(predicted, dtype=np.float64)
+    g = np.asarray(gold, dtype=np.float64)
+    dp = p - p.mean()
+    dg = g - g.mean()
+    var_p = float(np.sum(dp * dp))
+    var_g = float(np.sum(dg * dg))
+    return min(1.0, max(-1.0, float(np.sum(dp * dg) / math.sqrt(var_p * var_g))))
+
+
+class TestPearsonScale:
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e200, 1e-160, 1e-200])
+    def test_extreme_scales_give_the_unscaled_value(self, scale):
+        """Sums of squares that overflow or go subnormal once gave 0.0, a
+        perturbed value, or a zero-variance error; the answer is 0.5."""
+        pred = [scale, -scale, 3 * scale]
+        assert abs(pearson_corr(pred, [1, 2, 3]) - 0.5) < 1e-12
+        assert abs(pearson_corr(pred, [scale, 2 * scale, 3 * scale]) - 0.5) < 1e-12
+
+    def test_healthy_inputs_bit_identical_to_the_plain_formula(self):
+        rng = np.random.default_rng(47)
+        for _ in range(1000):
+            n = int(rng.integers(2, 40))
+            base = rng.standard_normal(n)
+            pred = base * 10.0 ** rng.uniform(-60, 60)
+            gold = (base * rng.normal() + rng.standard_normal(n)) * 10.0 ** rng.uniform(-60, 60)
+            assert pearson_corr(pred, gold) == plain_pearson(pred, gold)
 
 
 class TestInvariances:

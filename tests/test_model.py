@@ -159,6 +159,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("field, value", [
         ("num_layers", True), ("num_layers", 2.0), ("hidden_size", True),
         ("hidden_size", 8.0), ("lora_rank", False), ("num_layers", -1), ("num_heads", 0),
+        ("dropout_p", 1.0), ("dropout_p", -0.1),
     ])
     def test_non_integer_or_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -345,7 +346,9 @@ class TestModelForward:
         (np.full((1, 4), -1), np.zeros((1, 4), np.int64), "token id out of range"),
         (np.zeros((1, 4), np.int64), np.full((1, 4), -1), "type id out of range"),
         (np.zeros((1, 4), np.int64), np.full((1, 4), 2), "type id out of range"),
-    ], ids=["negative-token", "negative-type", "type-past-end"])
+        (np.zeros(4, np.int64), np.zeros(4, np.int64), r"token_ids must be \[batch, seq\]"),
+        (np.zeros((1, 4), np.int64), np.zeros((1, 3), np.int64), "type_ids shape"),
+    ], ids=["negative-token", "negative-type", "type-past-end", "tokens-1d", "types-shape"])
     def test_ids_keep_the_model_messages(self, tokens, types, message):
         with pytest.raises(InputError, match=message):
             model_forward(build_model(TOY, seed=2), tokens, types, mode="eval")

@@ -409,6 +409,7 @@ class TestConfigValidation:
         ("learning_rate", 0.0), ("weight_decay", float("nan")),
         ("weight_decay", float("inf")), ("weight_decay", -0.1),
         ("eps", float("nan")), ("eps", 0.0), ("eps", -1.0), ("eps", float("inf")),
+        ("betas", (1.0, 0.999)), ("betas", (0.9, -0.1)), ("epochs", -1), ("batch_size", 0),
     ])
     def test_non_finite_or_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

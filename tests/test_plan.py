@@ -124,6 +124,17 @@ class TestSpecParsing:
         with pytest.raises(PlanError, match=f"{bad} must be an integer"):
             PlanSpec(PlanKind.SPAFIT, n1, n2, Group3Mode.FT_II)
 
+    @pytest.mark.parametrize("args, match", [
+        ((PlanKind.SPAFIT, None, 2, Group3Mode.FT_II), "need N1, N2, and mode"),
+        ((PlanKind.SPAFIT, 1, None, Group3Mode.FT_II), "need N1, N2, and mode"),
+        ((PlanKind.SPAFIT, 1, 2, None), "need N1, N2, and mode"),
+        ((PlanKind.FULL_BITFIT, 1, None, None), "takes no N1/N2/mode"),
+        ((PlanKind.FULL_LORA_I, None, None, Group3Mode.FT_I), "takes no N1/N2/mode"),
+    ])
+    def test_missing_or_extra_layer_arguments_rejected(self, args, match):
+        with pytest.raises(PlanError, match=match):
+            PlanSpec(*args)
+
     def test_numpy_integer_layer_counts_round_trip(self):
         spec = PlanSpec(PlanKind.SPAFIT, np.int64(1), np.int32(2), Group3Mode.FT_II)
         assert parse_plan_spec(str(spec)) == spec
@@ -220,6 +231,11 @@ class TestStratification:
         with pytest.raises(PlanError, match=match):
             plan.group_of_layer(layer)
 
+    @pytest.mark.parametrize("text", ["fullft", "fullbitfit", "fulllora-I", "fulllora-II"])
+    def test_baseline_plan_has_no_layer_groups(self, text):
+        with pytest.raises(PlanError, match="has no layer groups"):
+            compile_plan(parse_plan_spec(text), TOY).group_of_layer(1)
+
     def test_embeddings_frozen_in_peft_tunable_in_full_ft(self):
         for text in ("fullbitfit", "fulllora-I", "spafit:N1=0,N2=2,mode=I"):
             plan = compile_plan(parse_plan_spec(text), TOY)
@@ -258,7 +274,7 @@ class TestTotality:
 
         store = attach_lora(build_model(cfg, seed=0), plan, seed=1)
         assert trained(store) == shapes
-        save_checkpoint(store, tmp_path / "model.ckpt", plan_spec=str(spec))
+        save_checkpoint(store, tmp_path / "model.ckpt", plan)
         loaded, loaded_plan = load_checkpoint_with_plan(tmp_path / "model.ckpt")
         assert loaded_plan is plan and trained(loaded) == shapes
         adapter = tmp_path / "task.adapter"

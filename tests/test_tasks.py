@@ -207,6 +207,7 @@ class TestPlantedRules:
         stored = labels_array(REGRESSION, train)
         # clipping plus noise_std=0.15 keeps labels near the planted score
         assert np.abs(noiseless - stored).max() < 1.0
+        assert [planted_rule_label(REGRESSION, r) for r in train] == noiseless.tolist()
 
 
 class TestSpecValidation:
@@ -224,6 +225,15 @@ class TestSpecValidation:
         with pytest.raises(TaskSpecError, match="seq_len"):
             TaskSpec(kind="pair_classification", vocab_size=60, seq_len=4,
                      train_size=10, val_size=5, seed=0)
+
+    @pytest.mark.parametrize("spec, field, value, match", [
+        (PAIR, "train_size", 0, "sizes must be >= 1"),
+        (PAIR, "val_size", 0, "sizes must be >= 1"),
+        (SINGLE, "num_labels", 1, ">= 2 labels"),
+    ])
+    def test_out_of_range_size_or_label_count_rejected(self, spec, field, value, match):
+        with pytest.raises(TaskSpecError, match=match):
+            dataclasses.replace(spec, **{field: value})
 
     def test_non_binary_pair_classification_rejected(self):
         with pytest.raises(TaskSpecError, match="binary"):

@@ -647,6 +647,25 @@ class TestEmbedding:
             T.embedding(Tensor(np.ones((4, 2))), np.array([1.0]))
 
 
+class TestShapeErrors:
+    @pytest.mark.parametrize("op, match", [
+        (lambda: T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2)))), "2-D"),
+        (lambda: T.linear(Tensor(np.ones((2, 5))), Tensor(np.ones((4, 3))),
+                          Tensor(np.zeros(4))), "linear shapes disagree"),
+        (lambda: T.softmax(Tensor(np.zeros((2, 0)))), "non-empty last axis"),
+        (lambda: T.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)),
+                              Tensor(np.zeros(4))), "affine shapes"),
+        (lambda: T.first_token(Tensor(np.zeros((2, 4)))), "3-D"),
+        (lambda: T.cross_entropy(Tensor(np.zeros((2, 3))), np.array([[0], [1]])),
+         "labels shape"),
+        (lambda: T.mse_loss(Tensor(np.zeros((2, 1))), np.zeros(2)), "target shape"),
+    ], ids=["matmul-1d", "linear", "softmax-empty", "layer_norm-affine",
+            "first_token-2d", "cross_entropy-labels", "mse-target"])
+    def test_misshapen_operand_raises_shape_error(self, op, match):
+        with pytest.raises(ShapeError, match=match):
+            op()
+
+
 class TestLosses:
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((2, 4)), requires_grad=True)
