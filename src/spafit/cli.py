@@ -238,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Overflow in a diverged run is reported by the finite checks of
         # ``train_run`` and ``predict`` as one error line, not as warnings.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args, _load(args))
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,39 +59,28 @@ def matthews_corr(predicted: Sequence[int], gold: Sequence[int]) -> float:
     return (tp * tn - fp * fn) / math.sqrt(denom)
 
 
-_TINY = np.finfo(np.float64).tiny
-
-
-def _sum_of_squares(d: np.ndarray) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.sum(d * d))
-
-
-def _unit_scaled(d: np.ndarray) -> np.ndarray:
-    """``d`` times the power of two that brings its largest magnitude into
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that brings its largest magnitude into
     [0.5, 1): exact, and a correlation does not depend on scale."""
-    return np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
 
 
 def pearson_corr(predicted: Sequence[float], gold: Sequence[float]) -> float:
     """Sample Pearson correlation, clamped to [-1, 1] against rounding; raises
-    when either side holds a non-finite value or has zero variance. Deviations
-    whose squares overflow or leave the normal range are rescaled first, so
-    the value does not depend on either side's scale."""
+    when either side holds a non-finite value or has zero variance. Each side
+    is first scaled by a power of two, which leaves every in-range input's
+    bits unchanged and keeps means, deviations and squares in range at any
+    scale."""
     _check_lengths(predicted, gold)
     p = np.asarray(predicted, dtype=np.float64)
     g = np.asarray(gold, dtype=np.float64)
     if not (np.isfinite(p).all() and np.isfinite(g).all()):
         raise InputError("correlation undefined: non-finite values")
+    p, g = _unit_scaled(p), _unit_scaled(g)
     dp = p - p.mean()
     dg = g - g.mean()
-    var_p = _sum_of_squares(dp)
-    var_g = _sum_of_squares(dg)
-    if not all(_TINY <= v < math.inf for v in (var_p, var_g, var_p * var_g)) \
-            and dp.any() and dg.any():
-        dp, dg = _unit_scaled(dp), _unit_scaled(dg)
-        var_p = _sum_of_squares(dp)
-        var_g = _sum_of_squares(dg)
+    var_p = float(np.sum(dp * dp))
+    var_g = float(np.sum(dg * dg))
     if var_p == 0.0 or var_g == 0.0:
         raise InputError("correlation undefined: zero variance on one side")
     return min(1.0, max(-1.0, float(np.sum(dp * dg) / math.sqrt(var_p * var_g))))

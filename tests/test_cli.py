@@ -418,6 +418,18 @@ class TestDivergence:
         assert captured.err.startswith("error: non-finite model output")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("kind", ["pair_classification", "pair_regression"])
+    def test_healthy_commands_raise_no_floating_point_error(self, tmp_path, kind):
+        """``main`` silences overflow and invalid values; the commands it runs
+        meet neither on a healthy run, nor a division by zero."""
+        path = tmp_path / "run.manifest"
+        path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), "task",
+                                  f"kind = {kind}"))
+        for command in (["train"], ["eval"], ["compare", "--spec", "fulllora-II"]):
+            args = cli.build_parser().parse_args([*command, "--manifest", str(path)])
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                assert args.fn(args, cli._load(args)) == 0
+
 
 def _refuse_to_train(*args, **kwargs):
     raise AssertionError("train_run entered")

@@ -143,8 +143,8 @@ class TestOracleAgreement:
 
 
 def plain_pearson(predicted, gold):
-    """The formula ``pearson_corr`` runs on every input whose sums of squares
-    and their product lie in the normal float range."""
+    """``pearson_corr`` without its power-of-two scaling: the same bits on
+    every input whose values, sums and squares stay in the normal range."""
     p = np.asarray(predicted, dtype=np.float64)
     g = np.asarray(gold, dtype=np.float64)
     dp = p - p.mean()
@@ -162,6 +162,18 @@ class TestPearsonScale:
         pred = [scale, -scale, 3 * scale]
         assert abs(pearson_corr(pred, [1, 2, 3]) - 0.5) < 1e-12
         assert abs(pearson_corr(pred, [scale, 2 * scale, 3 * scale]) - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("pred, unscaled", [
+        ([1.7e308, -1.7e308, -1.7e308], [1.7, -1.7, -1.7]),
+        ([1.7e308, 1.7e308, -1e308], [1.7, 1.7, -1.0]),
+    ])
+    def test_overflowing_sums_give_the_unscaled_value(self, pred, unscaled):
+        """A deviation, or the sum behind the mean, that overflows once gave
+        -1.0 through ``max(-1.0, nan)``; the answer is -sqrt(3)/2."""
+        expected = pearson_corr(unscaled, [1, 2, 3])
+        assert abs(expected + math.sqrt(3) / 2) < 1e-12
+        assert abs(pearson_corr(pred, [1, 2, 3]) - expected) < 1e-12
+        assert abs(pearson_corr([1, 2, 3], pred) - expected) < 1e-12
 
     def test_healthy_inputs_bit_identical_to_the_plain_formula(self):
         rng = np.random.default_rng(47)
