@@ -76,13 +76,16 @@ def pearson_corr(predicted: Sequence[float], gold: Sequence[float]) -> float:
     g = np.asarray(gold, dtype=np.float64)
     if not (np.isfinite(p).all() and np.isfinite(g).all()):
         raise InputError("correlation undefined: non-finite values")
+    # Tested on the values, not the variance: a constant side whose mean
+    # rounds leaves equal nonzero deviations. A scaled side that is not
+    # constant has a positive sum of squares.
+    if p.min() == p.max() or g.min() == g.max():
+        raise InputError("correlation undefined: zero variance on one side")
     p, g = _unit_scaled(p), _unit_scaled(g)
     dp = p - p.mean()
     dg = g - g.mean()
     var_p = float(np.sum(dp * dp))
     var_g = float(np.sum(dg * dg))
-    if var_p == 0.0 or var_g == 0.0:
-        raise InputError("correlation undefined: zero variance on one side")
     return min(1.0, max(-1.0, float(np.sum(dp * dg) / math.sqrt(var_p * var_g))))
 
 

@@ -15,12 +15,14 @@ the header ``kind``), so round trips are byte-exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -372,8 +374,10 @@ def write_container(path: str | Path, kind: str, config: ModelConfig,
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a container; returns (header, tensors by name)."""
+def read_container(path: str | Path) -> tuple[Mapping, dict[str, np.ndarray]]:
+    """Parse a container; returns (header, tensors by name). The header is
+    read-only: reads of the same header bytes share one parsed copy, and
+    each tensor is an owned array copied from this read's bytes."""
     raw = Path(path).read_bytes()
     if len(raw) < 9 or raw[:4] != MAGIC:
         raise CheckpointFormatError(f"{path}: bad container magic {raw[:4]!r}")
@@ -385,52 +389,84 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if len(raw) < 9 + header_len:
         raise CheckpointTruncatedError(f"{path}: header truncated")
     try:
-        header = json.loads(raw[9:9 + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
-        raise CheckpointFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
-        raise CheckpointFormatError(f"{path}: header is not an object with a tensors list")
-    if not isinstance(header.get("plan_spec"), (str, type(None))):
-        raise CheckpointFormatError(
-            f"{path}: plan spec {header['plan_spec']!r} is not a string")
+        header, layout = _parse_header(raw[9:9 + header_len])
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc.__cause__
 
     tensors: dict[str, np.ndarray] = {}
     offset = 9 + header_len
-    for entry in header["tensors"]:
-        name, shape = _entry_name_and_shape(path, entry)
-        if name in tensors:
-            raise CheckpointFormatError(f"{path}: tensor {name!r} declared twice")
-        count = math.prod(shape)
+    for name, shape, count in layout:
         if offset + count * 8 > len(raw):
             raise CheckpointTruncatedError(f"{path}: payload for {name!r} truncated")
         # one copy, straight out of the file's bytes into an owned array
-        tensors[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).copy()
+        tensors[name] = np.ndarray(shape, "<f8", raw, offset).copy()
         offset += count * 8
     if offset != len(raw):
         raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")
     return header, tensors
 
 
-def _entry_name_and_shape(path, entry) -> tuple[str, tuple[int, ...]]:
+# Distinct header byte strings whose parsed form stays cached: an adapter swap
+# re-reads its file, and a server of up to this many adapters parses each
+# header once.
+_HEADER_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_HEADER_CACHE_SIZE)
+def _parse_header(blob: bytes) -> tuple[Mapping, tuple[tuple[str, tuple[int, ...], int], ...]]:
+    """The header in ``blob``, frozen, and its tensor layout as
+    ``((name, shape, element count), ...)`` in payload order, checked against
+    the schema. Errors name no file; ``read_container`` adds it. A raised
+    error is not cached, so a bad header is checked again on every read."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        frozen = _frozen(header)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+        raise CheckpointFormatError(f"header is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+        raise CheckpointFormatError("header is not an object with a tensors list")
+    if not isinstance(header.get("plan_spec"), (str, type(None))):
+        raise CheckpointFormatError(f"plan spec {header['plan_spec']!r} is not a string")
+
+    layout: dict[str, tuple[str, tuple[int, ...], int]] = {}
+    for entry in header["tensors"]:
+        name, shape = _entry_name_and_shape(entry)
+        if name in layout:
+            raise CheckpointFormatError(f"tensor {name!r} declared twice")
+        layout[name] = (name, shape, math.prod(shape))
+    return frozen, tuple(layout.values())
+
+
+def _frozen(value):
+    """A parsed JSON value with every object read-only and every list a tuple."""
+    if isinstance(value, dict):
+        return MappingProxyType({key: _frozen(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+def _entry_name_and_shape(entry) -> tuple[str, tuple[int, ...]]:
     """Name and shape of one header tensor entry, checked against the schema:
     a string name, a list of non-negative ints, and the one dtype ``<f8``."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-        raise CheckpointFormatError(f"{path}: tensor entry {entry!r} has no string name")
+        raise CheckpointFormatError(f"tensor entry {entry!r} has no string name")
     name, shape = entry["name"], entry.get("shape")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise CheckpointFormatError(
-            f"{path}: tensor {name!r} shape {shape!r} is not a list of non-negative ints")
+            f"tensor {name!r} shape {shape!r} is not a list of non-negative ints")
     if entry.get("dtype") != "<f8":
-        raise CheckpointFormatError(f"{path}: unsupported dtype {entry.get('dtype')!r}")
+        raise CheckpointFormatError(f"unsupported dtype {entry.get('dtype')!r}")
     return name, tuple(shape)
 
 
-def config_from_header(header: dict) -> ModelConfig:
+def config_from_header(header: Mapping) -> ModelConfig:
     config = header.get("config")
     try:
         return ModelConfig(**config)
     except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"container config {config!r} is invalid: {exc}") from exc
+        shown = dict(config) if isinstance(config, Mapping) else config
+        raise CheckpointFormatError(f"container config {shown!r} is invalid: {exc}") from exc
 
 
 def check_tensors(path: str | Path, tensors: dict[str, np.ndarray],

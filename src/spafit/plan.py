@@ -254,19 +254,27 @@ def attach_lora(store: ParamStore, plan: FinetunePlan, seed: int) -> ParamStore:
 def attach_factors(store: ParamStore, plan: FinetunePlan,
                    factors: dict[str, np.ndarray]) -> None:
     """Set every path's grad flag from ``plan`` and attach its factor pairs,
-    taking their arrays from ``factors`` by container name."""
+    taking their arrays from ``factors`` by container name. A path trains if
+    and only if ``plan.trainable`` holds it. The store is checked before it
+    changes: it must hold every path the plan assigns, each trained bias
+    1-D and each low-rank target 2-D."""
     if plan.config != store.config:
         raise PlanError("plan was compiled for a different model configuration")
-    store.lora.clear()
-    for path, status in plan.assignments.items():
-        if path not in store.params:
-            raise PlanError(f"plan path {path!r} missing from store")
-        tensor = store.params[path]
-        if status is ParamStatus.BIAS_TUNABLE and tensor.data.ndim != 1:
+    params = store.params
+    if not params.keys() >= plan.assignments.keys():
+        missing = next(path for path in plan.assignments if path not in params)
+        raise PlanError(f"plan path {missing!r} missing from store")
+    for path in plan.trainable:
+        if plan.assignments.get(path) is ParamStatus.BIAS_TUNABLE \
+                and params[path].data.ndim != 1:
             raise PlanError(f"{path!r} is not a 1-D bias vector")
-        if status is ParamStatus.LORA_AUGMENTED and tensor.data.ndim != 2:
+    for path in plan.lora_targets:
+        if params[path].data.ndim != 2:
             raise PlanError(f"low-rank target {path!r} is not a 2-D matrix")
-        tensor.requires_grad = status in TRAINABLE_STATUSES
+
+    store.lora.clear()
+    for path in plan.assignments:
+        params[path].requires_grad = path in plan.trainable
     scaling = store.config.lora_alpha / store.config.lora_rank
     for target in plan.lora_targets:
         a_name, b_name = factor_names(target)

@@ -522,9 +522,8 @@ def gelu(x: Tensor) -> Tensor:
     np.copysign(cdf, xd, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = xd * cdf
     if not _builds_node(x):
-        return Tensor(data)
+        return Tensor(np.multiply(cdf, xd, out=cdf))
     d = xd * -0.5
     d *= xd
     np.exp(d, out=d)
@@ -535,7 +534,8 @@ def gelu(x: Tensor) -> Tensor:
     def backward_fn(g, xn=x._node, d=d):  # a new array: ``d`` is never written
         xn._accumulate(d * g)
 
-    return _result(data, (x,), backward_fn)
+    # the output takes the cdf's buffer once the derivative has read it
+    return _result(np.multiply(cdf, xd, out=cdf), (x,), backward_fn)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -600,9 +600,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     # The ids: the scatter-add reads them.
     def backward_fn(g, tn=table._node, ids=ids, shape=table.data.shape):
-        acc = np.zeros(shape)
-        np.add.at(acc, ids.reshape(-1), g.reshape(-1, shape[-1]))
-        tn._accumulate(acc)
+        # one flat bin per table entry; bincount adds each bin's weights in
+        # row order from 0.0, as ``np.add.at`` would, and is faster
+        rows, d = shape
+        bins = (ids.astype(np.intp).reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        tn._accumulate(np.bincount(bins, weights=g.reshape(-1),
+                                   minlength=rows * d).reshape(shape))
 
     return _result(table.data[ids], (table,), backward_fn)
 

@@ -13,6 +13,7 @@ from spafit.errors import CheckpointFormatError, CompatibilityError, PlanError
 from spafit.model import LoraPair, ModelConfig, build_model, model_forward
 from spafit.optim import AdamW, TrainConfig
 from spafit.plan import (
+    attach_factors,
     attach_lora,
     compile_plan,
     export_adapter,
@@ -119,6 +120,20 @@ class TestAttach:
         store.params[path] = Tensor(np.zeros(8), requires_grad=True)
         with pytest.raises(PlanError, match=f"target {path!r} is not a 2-D matrix"):
             attach_lora(store, compile_plan(parse_plan_spec("fulllora-I"), CFG), seed=0)
+
+    def test_rejected_store_keeps_its_grad_flags_and_pairs(self):
+        """Every check comes before the first write: a trained bias late in
+        path order, misshapen, leaves the earlier paths' flags and the
+        attached pairs as they were."""
+        store = build_model(CFG, seed=1)
+        attach_lora(store, compile_plan(parse_plan_spec("fulllora-II"), CFG), seed=0)
+        path = "encoder.layer.1.output.LayerNorm.bias"
+        store.params[path] = Tensor(np.zeros((8, 1)))
+        flags, pairs = grad_flags(store), dict(store.lora)
+        with pytest.raises(PlanError, match=f"{path!r} is not a 1-D bias vector"):
+            attach_factors(store, compile_plan(parse_plan_spec("fullbitfit"), CFG), {})
+        assert grad_flags(store) == flags
+        assert store.lora == pairs
 
 
 class TestDelta:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spafit.model as model_module
 from spafit.checkpoint import (
     load_checkpoint_with_plan,
     read_container,
@@ -203,6 +204,80 @@ def test_read_arrays_are_owned_writeable_and_c_contiguous(store, tmp_path):
     np.testing.assert_array_equal(tensors["column"], np.arange(1.0, 5.0).reshape(4, 1))
     _, again = read_container(path)
     np.testing.assert_array_equal(again["column"], written["column"])
+
+
+def _header_bytes(path) -> bytes:
+    raw = path.read_bytes()
+    return raw[:9 + struct.unpack("<I", raw[5:9])[0]]
+
+
+def test_two_reads_of_one_file_decode_its_header_once(store, tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(store, path)
+    decoded = []
+
+    def loads_spy(text, real=json.loads):
+        decoded.append(text)
+        return real(text)
+
+    monkeypatch.setattr(json, "loads", loads_spy)
+    model_module._parse_header.cache_clear()
+    first, _ = read_container(path)
+    second, _ = read_container(path)
+    assert len(decoded) == 1
+    assert second is first
+
+
+def test_read_header_is_read_only(store, tmp_path):
+    """Every read of the same header bytes shares one parsed header."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(store, path)
+    header, _ = read_container(path)
+    assert header["config"]["hidden_size"] == CFG.hidden_size
+    assert isinstance(header["tensors"], tuple)
+    assert isinstance(header["tensors"][0]["shape"], tuple)
+    with pytest.raises(TypeError):
+        header["kind"] = "adapter"
+    with pytest.raises(TypeError):
+        header["config"]["hidden_size"] = 4
+    with pytest.raises(TypeError):
+        header["tensors"][0]["name"] = "other"
+
+
+def test_swap_serves_a_payload_rewritten_under_the_same_header(store, tmp_path):
+    """A cached header settles the layout, never the values: each swap reads
+    its payload from the file as it is now."""
+    plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), CFG)
+    attach_lora(store, plan, seed=9)
+    path = tmp_path / "task.adapter"
+    export_adapter(store, plan, path)
+    serving = build_model(CFG, seed=5)
+    swap_adapter(serving, path)
+
+    header, tensors = read_container(path)
+    before = _header_bytes(path)
+    rewritten = {name: arr + 1.5 for name, arr in tensors.items()}
+    write_container(path, "adapter", CFG, rewritten, plan_spec=header["plan_spec"])
+    assert _header_bytes(path) == before
+    swap_adapter(serving, path)
+    served = serving.params | serving.factors()
+    for name, arr in rewritten.items():
+        np.testing.assert_array_equal(served[name].data, arr, err_msg=name)
+
+
+def test_corrupt_header_at_a_read_path_names_the_path_on_each_read(store, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(store, path)
+    good = path.read_bytes()
+    read_container(path)
+    path.write_bytes(good[:9] + b"[" + good[10:])  # byte 9 opens the header's object
+    for _ in range(2):
+        with pytest.raises(CheckpointFormatError) as info:
+            read_container(path)
+        assert str(info.value).startswith(f"{path}: header is not UTF-8 JSON (")
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+    path.write_bytes(good)
+    assert read_container(path)[0]["kind"] == "checkpoint"
 
 
 def _edit(change):

@@ -112,6 +112,21 @@ class TestErrors:
         with pytest.raises(InputError, match="zero variance"):
             pearson_corr(spread, [1e-300, 1e-300, 1e-300])
 
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1.1])
+    @pytest.mark.parametrize("side", ["predicted", "gold"])
+    def test_constant_side_whose_mean_rounds_raises(self, value, side):
+        """``p - p.mean()`` leaves equal nonzero deviations for 0.1 and 0.7,
+        so only a test on the values themselves sees the constant side."""
+        args = ([value] * 3, [1.0, 2.0, 3.0])
+        with pytest.raises(InputError, match="zero variance"):
+            pearson_corr(*(args if side == "predicted" else args[::-1]))
+
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1.1, 1e-300, 5e-324, 1e300])
+    def test_side_one_ulp_apart_gives_a_value(self, value):
+        near = [value, value, float(np.nextafter(value, np.inf))]
+        for args in ((near, [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], near)):
+            assert -1.0 <= pearson_corr(*args) <= 1.0
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("side", ["predicted", "gold"])
     def test_non_finite_pearson(self, bad, side):

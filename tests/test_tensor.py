@@ -646,6 +646,23 @@ class TestEmbedding:
         with pytest.raises(InputError, match="integer"):
             T.embedding(Tensor(np.ones((4, 2))), np.array([1.0]))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_backward_scatter_matches_add_at_bitwise(self, dtype):
+        """Repeated ids sum in row order from 0.0, so the bits, the signs of
+        zeros included, are those of ``np.add.at`` on a zero table."""
+        rng = np.random.default_rng(3)
+        ids = np.array([[2, 0, 2], [5, 2, 0], [2, 2, 6]], dtype=dtype)
+        g = rng.standard_normal((3, 3, 4)) * 10.0 ** rng.integers(-8, 8, size=(3, 3, 4))
+        g[0, 0] = -0.0           # row 2 first takes a negative zero
+        g[1, 2, :2] = -0.0       # row 0 mixes signed zeros with values
+        g[2, 2] = [-0.0, 0.0, -0.0, 1e-300]  # row 6's only gradient
+        table = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+        T.embedding(table, ids)._backward_fn(g)
+
+        want = np.zeros((7, 4))
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 4))
+        assert table.grad.tobytes() == want.tobytes()
+
 
 class TestShapeErrors:
     @pytest.mark.parametrize("op, match", [
