@@ -1,38 +1,24 @@
 """Full checkpoints: every base tensor of a ``ParamStore`` plus the LoRA
-factors of the plan it records, in the tensor container of ``spafit.model``.
+factors of the plan it records. They are read and written by the one file
+reader and writer of ``spafit.plan``, which adapters share; the container
+functions of ``spafit.model`` are re-exported here.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import CheckpointFormatError, PlanError
-from .model import (
-    ParamStore,
-    check_tensors,
-    config_from_header,
-    param_shapes,
-    read_container,
-    write_container,
-)
-from .plan import FinetunePlan, attach_factors, recorded_plan
+from .model import ParamStore, param_shapes, read_container, write_container
+from .plan import FinetunePlan, attach_factors, read_file, write_file
 from .tensor import Tensor
+
+__all__ = ["load_checkpoint_with_plan", "read_container", "save_checkpoint", "write_container"]
 
 
 def save_checkpoint(store, path: str | Path, plan: FinetunePlan | None = None) -> None:
     """Write every base tensor plus the LoRA factors ``plan`` attaches, and
-    record the plan's spec. The loader expects the base tensors its config
-    implies and attaches factors from that spec, so ``plan`` must be compiled
-    for the store's config and the store must hold exactly those tensors, in
-    those shapes; otherwise nothing is written."""
-    spec = None if plan is None else str(plan.spec)
-    tensors = {name: t.data for name, t in (store.params | store.factors()).items()}
-    expected = param_shapes(store.config) | ({} if plan is None else plan.factors)
-    if {name: arr.shape for name, arr in tensors.items()} != expected \
-            or (plan is not None and plan.config != store.config):
-        raise PlanError(f"plan spec {spec!r} and the store's config do not "
-                        "match the tensors the store holds")
-    write_container(path, "checkpoint", store.config, tensors, spec)
+    record the plan's spec (a store with pairs needs a plan)."""
+    write_file(path, "checkpoint", store, plan)
 
 
 def load_checkpoint_with_plan(path: str | Path):
@@ -42,20 +28,9 @@ def load_checkpoint_with_plan(path: str | Path):
     config, plus factor tensors for the recorded plan's targets. Anything
     extra, missing or misshapen is rejected by name.
     """
-    header, tensors = read_container(path)
-    if header.get("kind") != "checkpoint":
-        raise CheckpointFormatError(f"{path}: container kind {header.get('kind')!r} "
-                                    "is not a checkpoint")
-    config = config_from_header(header)
-    base_shapes = param_shapes(config)
-    plan = None
-    if header.get("plan_spec"):
-        plan = recorded_plan(path, header["plan_spec"], config)
-    check_tensors(path, tensors,
-                  base_shapes | (plan.factors if plan is not None else {}))
-
+    config, plan, tensors = read_file(path, "checkpoint")
     store = ParamStore(config)
-    for name in base_shapes:
+    for name in param_shapes(config):
         store.params[name] = Tensor(tensors[name], requires_grad=True)
     if plan is not None:
         attach_factors(store, plan, tensors)

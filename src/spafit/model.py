@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
@@ -34,7 +35,6 @@ from .errors import (
     ConfigError,
     InputError,
     ShapeError,
-    UnknownTensorError,
     _check_int,
     _check_real,
 )
@@ -356,6 +356,11 @@ FORMAT_VERSION = 1
 def write_container(path: str | Path, kind: str, config: ModelConfig,
                     tensors: dict[str, np.ndarray],
                     plan_spec: str | None = None) -> None:
+    """Write a container to ``path``, replacing any file there only once every
+    byte is written: the bytes go to a fresh sibling, which then takes
+    ``path``'s name, and a failed write removes the sibling and leaves the old
+    file whole. Nothing is fsynced, so a machine crash can still lose the new
+    file. An I/O error names ``path``."""
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -365,13 +370,22 @@ def write_container(path: str | Path, kind: str, config: ModelConfig,
                     for name, arr in tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([FORMAT_VERSION]))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for arr in tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    # "xb" never opens an existing file, and the umask sets the new one's mode.
+    partial = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(partial, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(bytes([FORMAT_VERSION]))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for arr in tensors.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(partial, path)
+    except OSError as exc:
+        raise OSError(f"{path}: cannot write: {exc}") from exc
+    finally:  # after the replace, there is no sibling left to remove
+        partial.unlink(missing_ok=True)
 
 
 def read_container(path: str | Path) -> tuple[Mapping, dict[str, np.ndarray]]:
@@ -458,28 +472,3 @@ def _entry_name_and_shape(entry) -> tuple[str, tuple[int, ...]]:
     if entry.get("dtype") != "<f8":
         raise CheckpointFormatError(f"unsupported dtype {entry.get('dtype')!r}")
     return name, tuple(shape)
-
-
-def config_from_header(header: Mapping) -> ModelConfig:
-    config = header.get("config")
-    try:
-        return ModelConfig(**config)
-    except (TypeError, ValueError) as exc:
-        shown = dict(config) if isinstance(config, Mapping) else config
-        raise CheckpointFormatError(f"container config {shown!r} is invalid: {exc}") from exc
-
-
-def check_tensors(path: str | Path, tensors: dict[str, np.ndarray],
-                  expected_shapes: Mapping[str, tuple[int, ...]]) -> None:
-    """Reject by name any tensor beyond ``expected_shapes``, any missing
-    tensor, and any tensor whose shape differs from its expected one."""
-    for name in tensors:
-        if name not in expected_shapes:
-            raise UnknownTensorError(f"{path}: unknown tensor {name!r}")
-    for name, shape in expected_shapes.items():
-        if name not in tensors:
-            raise UnknownTensorError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape}")

@@ -18,6 +18,11 @@ group 2, full LoRA every layer in group 3.
 
 The pooler and task head stay tunable under every kind; embeddings train
 only under full fine-tuning.
+
+Checkpoints and adapters are read by one reader, ``read_file``, and written
+by one writer, ``write_file``, against one layout rule, ``file_layout``: an
+adapter holds the tensors its plan trains, a checkpoint every base tensor
+plus its plan's factors.
 """
 
 from __future__ import annotations
@@ -32,14 +37,18 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CompatibilityError, PlanError, _check_int
+from .errors import (
+    CheckpointFormatError,
+    CompatibilityError,
+    PlanError,
+    UnknownTensorError,
+    _check_int,
+)
 from .model import (
     INIT_STD,
     LoraPair,
     ModelConfig,
     ParamStore,
-    check_tensors,
-    config_from_header,
     factor_names,
     is_head_path,
     layer_number,
@@ -393,27 +402,76 @@ def published_reference_m(spec: PlanSpec, config: ModelConfig) -> float | None:
     return PUBLISHED_COUNTS_M.get(str(spec))
 
 
-# -- adapter export / swap -------------------------------------------------------
+# -- checkpoint and adapter files -------------------------------------------------
 
 
-def recorded_plan(path, spec_text: str, config: ModelConfig) -> FinetunePlan:
-    """Compile the plan spec a container header records. A spec that does
-    not parse or fit ``config`` is a corrupt file, not a usage error."""
+def file_layout(kind: str, config: ModelConfig,
+                plan: FinetunePlan | None) -> Mapping[str, tuple[int, ...]]:
+    """Container name -> shape of each tensor a file of ``kind`` holds, in
+    file order: an adapter holds what ``plan`` trains, a checkpoint every
+    base tensor of ``config`` plus the factors ``plan`` attaches."""
+    if kind == "adapter":
+        return plan.trainable
+    return param_shapes(config) | ({} if plan is None else plan.factors)
+
+
+def read_file(path, kind: str) -> tuple[ModelConfig, FinetunePlan | None, dict]:
+    """The config, recorded plan and tensors of a file of ``kind``. A header
+    records a plan iff its ``plan_spec`` is a string, which must parse and
+    fit the file's config; an adapter must record one. Every tensor must be
+    ``file_layout``'s: any extra, missing or misshapen one is named."""
+    header, tensors = read_container(path)
+    if header.get("kind") != kind:
+        error, noun = ((CompatibilityError, "an adapter") if kind == "adapter"
+                       else (CheckpointFormatError, "a checkpoint"))
+        raise error(f"{path}: container kind {header.get('kind')!r} is not {noun}")
+    fields = header.get("config")
     try:
-        return compile_plan(parse_plan_spec(spec_text), config)
+        config = ModelConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        shown = dict(fields) if isinstance(fields, Mapping) else fields
+        raise CheckpointFormatError(f"container config {shown!r} is invalid: {exc}") from exc
+    spec = header.get("plan_spec")
+    if spec is None and kind == "adapter":
+        raise CheckpointFormatError(f"{path}: adapter records no plan spec")
+    try:
+        plan = None if spec is None else compile_plan(parse_plan_spec(spec), config)
     except PlanError as exc:
         raise CheckpointFormatError(f"{path}: recorded plan spec is invalid: {exc}") from exc
 
+    layout = file_layout(kind, config, plan)
+    for name in tensors:
+        if name not in layout:
+            raise UnknownTensorError(f"{path}: unknown tensor {name!r}")
+    for name, shape in layout.items():
+        if name not in tensors:
+            raise UnknownTensorError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"expected {shape}")
+    return config, plan, tensors
+
+
+def write_file(path, kind: str, store: ParamStore, plan: FinetunePlan | None) -> None:
+    """Write the store's tensors a file of ``kind`` holds, in ``file_layout``
+    order, with ``plan``'s spec. Nothing is written unless ``plan`` was
+    compiled for the store's config and those tensors match the layout."""
+    held, tensors = (("trainable tensors", store.trainable_parameters())
+                     if kind == "adapter" else ("tensors", store.params | store.factors()))
+    spec = None if plan is None else str(plan.spec)
+    layout = file_layout(kind, store.config, plan)
+    if (plan is not None and plan.config != store.config) \
+            or {name: t.data.shape for name, t in tensors.items()} != layout:
+        raise PlanError(f"the store's {held} are not those the {kind} layout of "
+                        f"plan spec {spec!r} at the store's config holds")
+    write_container(path, kind, store.config,
+                    {name: tensors[name].data for name in layout}, spec)
+
 
 def export_adapter(store: ParamStore, plan: FinetunePlan, path) -> None:
-    """Write the plan spec plus every trainable value to an adapter file.
-    The store must train exactly what ``plan`` trains, or ``swap_adapter``
-    would reject the file."""
-    tensors = {name: t.data for name, t in store.trainable_parameters().items()}
-    if [(name, arr.shape) for name, arr in tensors.items()] \
-            != list(plan.trainable.items()):
-        raise PlanError(f"the store's trainable tensors are not those {plan.spec} trains")
-    write_container(path, "adapter", store.config, tensors, plan_spec=str(plan.spec))
+    """Write the plan spec plus every trainable value to an adapter file."""
+    write_file(path, "adapter", store, plan)
 
 
 def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
@@ -424,19 +482,11 @@ def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
     value it held before its first swap, so the store ends as that base plus
     this adapter. Returns the plan now governing the store.
     """
-    header, tensors = read_container(adapter_path)
-    if header.get("kind") != "adapter":
+    config, plan, tensors = read_file(adapter_path, "adapter")
+    if config != store.config:
         raise CompatibilityError(
-            f"{adapter_path}: container kind {header.get('kind')!r} is not an adapter")
-    file_config = config_from_header(header)
-    if file_config != store.config:
-        raise CompatibilityError(
-            f"adapter built for {file_config} cannot attach to a store "
+            f"adapter built for {config} cannot attach to a store "
             f"configured {store.config}")
-    if header.get("plan_spec") is None:
-        raise CheckpointFormatError(f"{adapter_path}: adapter records no plan spec")
-    plan = recorded_plan(adapter_path, header["plan_spec"], store.config)
-    check_tensors(adapter_path, tensors, plan.trainable)
 
     attach_factors(store, plan, tensors)
     for path in plan.trainable:

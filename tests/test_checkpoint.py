@@ -1,6 +1,8 @@
 """Checkpoint container: byte-exact round trips and strict load validation."""
 
+import errno
 import json
+import stat
 import struct
 from dataclasses import replace
 
@@ -317,6 +319,7 @@ HEADER_MUTATIONS = {
     "config_string_dimension": _set_config(hidden_size="8"),
     "no_plan_spec": _edit(lambda h: h.pop("plan_spec")),
     "plan_spec_not_a_string": _edit(lambda h: h.update(plan_spec=5)),
+    "plan_spec_empty": _edit(lambda h: h.update(plan_spec="")),
     "plan_spec_unparsable": _edit(lambda h: h.update(plan_spec="spafit:bogus")),
     "plan_spec_exceeds_stack": _edit(lambda h: h.update(plan_spec="spafit:N1=0,N2=9,mode=II")),
     "plan_spec_huge_int": _edit(
@@ -351,6 +354,81 @@ def test_header_mutation_rejected(store, tmp_path, cli_manifest, kind, mutation)
             swap_adapter(store, adapter)
         argv = ["swap-adapter", "--model", str(ckpt), "--adapter", str(adapter)]
     assert main(argv + ["--manifest", str(cli_manifest)]) == 5
+
+
+def test_empty_plan_spec_in_a_plain_checkpoint_rejected(store, tmp_path, cli_manifest):
+    """A header records a plan iff its spec is a string, so ``""`` is an
+    invalid spec, not the absence of one, even where the tensors are
+    exactly the base tensors a plan-less checkpoint holds."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(store, ckpt)
+    _rewrite_header(ckpt, _edit(lambda h: h.update(plan_spec="")))
+    with pytest.raises(CheckpointFormatError, match="recorded plan spec is invalid"):
+        load_checkpoint_with_plan(ckpt)
+    argv = ["eval", "--model", str(ckpt), "--manifest", str(cli_manifest)]
+    assert main(argv) == 5
+
+
+class _FailingFile:
+    """A binary file that takes ``limit`` bytes, then raises ``error``."""
+
+    def __init__(self, fh, limit: int, error: BaseException):
+        self.fh, self.room, self.error = fh, limit, error
+
+    def write(self, data: bytes) -> int:
+        if len(data) > self.room:
+            self.fh.write(data[:self.room])
+            raise self.error
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("error", [OSError(errno.EFBIG, "File too large"),
+                                   KeyboardInterrupt()])
+@pytest.mark.parametrize("kind", ["checkpoint", "adapter"])
+def test_failed_write_leaves_the_old_file_whole(store, tmp_path, monkeypatch, kind, error):
+    """A write that fails partway through the payload removes its partial
+    file and leaves the file it was to replace byte for byte as it was; an
+    I/O error names that file."""
+    plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), CFG)
+    attach_lora(store, plan, seed=9)
+    path = tmp_path / f"model.{kind}"
+    write = (lambda: save_checkpoint(store, path, plan)) if kind == "checkpoint" \
+        else (lambda: export_adapter(store, plan, path))
+    write()
+    old = path.read_bytes()
+    store.params["classifier.bias"].data += 1.0
+
+    payload_start = len(_header_bytes(path))
+    monkeypatch.setattr(
+        model_module, "open", raising=False,
+        value=lambda name, mode: _FailingFile(open(name, mode), payload_start + 20, error))
+    with pytest.raises(type(error)) as info:
+        write()
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    if isinstance(error, OSError):
+        assert str(info.value).startswith(f"{path}: cannot write: ")
+        assert info.value.__cause__ is error
+
+    monkeypatch.undo()
+    write()
+    assert path.read_bytes() != old
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_written_file_takes_its_mode_from_the_umask(store, tmp_path):
+    """The file is created as ``open`` creates one, not with a private mode."""
+    reference, path = tmp_path / "reference", tmp_path / "model.ckpt"
+    reference.write_bytes(b"")
+    save_checkpoint(store, path)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
 
 
 def _corruptions(raw: bytes, header_end: int, seed: int, count: int):
