@@ -26,6 +26,7 @@ from .manifest import RunManifest, load_manifest
 from .model import total_parameter_count
 from .optim import DEFAULT_LR_FULL_FT, DEFAULT_LR_PEFT, TrainConfig
 from .plan import (
+    PLAN_SPEC_GRAMMAR,
     PlanKind,
     attach_lora,
     compile_plan,
@@ -192,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spafit",
         description="Stratified parameter-efficient fine-tuning toolkit.",
         epilog=(
-            "Plan specs: fullft | fullbitfit | fulllora-I | fulllora-II | "
-            "spafit:N1=<i>,N2=<j>,mode=<I|II>. Learning rate defaults to "
+            f"Plan specs: {PLAN_SPEC_GRAMMAR}. Learning rate defaults to "
             f"{DEFAULT_LR_PEFT:g} for PEFT plans and {DEFAULT_LR_FULL_FT:g} for "
             f"full fine-tuning; batch size defaults to {defaults.batch_size} "
             f"(8 available for memory-constrained runs); {defaults.epochs} epochs, "

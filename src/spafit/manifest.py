@@ -3,14 +3,18 @@
 A manifest is the single source of configuration for a CLI invocation:
 ``[model]``, ``[plan]``, ``[train]``, ``[task]``, and ``[outputs]`` sections
 with one ``key = value`` pair per line. Unknown sections or keys are
-rejected, and the three seeds (model, train, task) are mandatory so no run
-ever depends on the wall clock.
+rejected. ``[model]``, ``[train]`` and ``[task]`` take the fields of
+``ModelConfig`` (less ``num_labels``, set by the task), ``TrainConfig`` (with
+``betas`` as ``beta1`` and ``beta2``) and ``TaskSpec``; the three seeds are
+mandatory so no run ever depends on the wall clock.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ManifestError
@@ -19,39 +23,36 @@ from .optim import TrainConfig
 from .plan import PlanSpec, parse_plan_spec
 from .tasks import SINGLE_CLASSIFICATION, TaskSpec
 
-_MODEL_KEYS = {
-    "num_layers": int, "hidden_size": int, "num_heads": int, "ffn_size": int,
-    "vocab_size": int, "max_positions": int, "type_vocab_size": int,
-    "lora_rank": int, "lora_alpha": int, "dropout_p": float, "seed": int,
-}
-_PLAN_KEYS = {"spec": str}
-_TRAIN_KEYS = {
-    "learning_rate": float, "batch_size": int, "epochs": int,
-    "weight_decay": float, "beta1": float, "beta2": float, "eps": float,
-    "seed": int,
-}
-_TASK_KEYS = {
-    "kind": str, "vocab_size": int, "seq_len": int, "train_size": int,
-    "val_size": int, "num_labels": int, "noise_std": float, "metric": str,
-    "seed": int,
-}
-_OUTPUT_KEYS = {"out_dir": str}
 
+def _schema(cls, drop="", spell=None) -> tuple[dict[str, type], set[str]]:
+    """Each key with its converter, and the required keys, of the section
+    setting dataclass ``cls``: its fields but ``drop`` (required if without a
+    default), a ``spell`` field as one key per tuple member, a required ``seed``."""
+    hints, spell = typing.get_type_hints(cls), spell or {}
+    keys, required = {"seed": int}, {"seed"}
+    for field in fields(cls):
+        if field.name == drop:
+            continue
+        hint = hints[field.name]
+        kinds = typing.get_args(hint) if field.name in spell else (hint,)
+        for name, kind in zip(spell.get(field.name, (field.name,)), kinds, strict=True):
+            if typing.get_origin(kind) in (typing.Union, types.UnionType):  # its non-None member
+                kind = typing.Union[tuple(t for t in typing.get_args(kind) if t is not type(None))]
+            if kind not in (int, float, str):
+                raise TypeError(f"{cls.__name__}.{field.name}: no manifest spelling for {kind}")
+            keys[name] = kind
+            if field.default is MISSING and field.default_factory is MISSING:
+                required.add(name)
+    return keys, required
+
+
+# Section -> (key -> converter, required keys).
 _SECTIONS = {
-    "model": _MODEL_KEYS,
-    "plan": _PLAN_KEYS,
-    "train": _TRAIN_KEYS,
-    "task": _TASK_KEYS,
-    "outputs": _OUTPUT_KEYS,
-}
-
-_REQUIRED = {
-    "model": {"num_layers", "hidden_size", "num_heads", "ffn_size",
-              "vocab_size", "max_positions", "seed"},
-    "plan": {"spec"},
-    "train": {"seed"},
-    "task": {"kind", "vocab_size", "seq_len", "train_size", "val_size", "seed"},
-    "outputs": set(),
+    "model": _schema(ModelConfig, drop="num_labels"),
+    "plan": ({"spec": str}, {"spec"}),
+    "train": _schema(TrainConfig, spell={"betas": ("beta1", "beta2")}),
+    "task": _schema(TaskSpec),
+    "outputs": ({"out_dir": str}, set()),
 }
 
 
@@ -81,13 +82,11 @@ def _parse_sections(path: str | Path) -> dict[str, dict[str, str]]:
     for name in parser.sections():
         if name not in _SECTIONS:
             raise ManifestError(f"{path}: unknown section [{name}]")
-        schema = _SECTIONS[name]
-        values = dict(parser.items(name))
+        sections[name] = values = dict(parser.items(name))
         for key in values:
-            if key not in schema:
+            if key not in _SECTIONS[name][0]:
                 raise ManifestError(f"{path}: unknown key {key!r} in [{name}]")
-        sections[name] = values
-    for name, required in _REQUIRED.items():
+    for name, (_, required) in _SECTIONS.items():
         if required and name not in sections:
             raise ManifestError(f"{path}: missing section [{name}]")
         missing = required - set(sections.get(name, {}))
@@ -98,7 +97,7 @@ def _parse_sections(path: str | Path) -> dict[str, dict[str, str]]:
 
 
 def _convert(section: str, values: dict[str, str]) -> dict:
-    schema = _SECTIONS[section]
+    schema = _SECTIONS[section][0]
     out = {}
     for key, raw in values.items():
         try:

@@ -102,6 +102,12 @@ class Group3Mode(enum.Enum):
     FT_II = "II"
 
 
+# Every plan spec ``parse_plan_spec`` reads, for its error and the CLI's help.
+PLAN_SPEC_GRAMMAR = " | ".join(
+    f"{kind.value}:N1=<i>,N2=<j>,mode=<{'|'.join(mode.value for mode in Group3Mode)}>"
+    if kind is PlanKind.SPAFIT else kind.value for kind in PlanKind)
+
+
 @dataclass(frozen=True)
 class PlanSpec:
     """Which fine-tuning recipe to compile; stratified kinds carry N1/N2."""
@@ -149,9 +155,7 @@ def parse_plan_spec(text: str) -> PlanSpec:
         except ValueError as exc:  # past Python's integer string conversion limit
             raise PlanError(f"plan spec layer count too long: {exc}") from exc
         return PlanSpec(PlanKind.SPAFIT, n1, n2, mode)
-    raise PlanError(
-        f"unrecognized plan spec {text!r}; expected one of "
-        "fullft | fullbitfit | fulllora-I | fulllora-II | spafit:N1=_,N2=_,mode=I|II")
+    raise PlanError(f"unrecognized plan spec {text!r}; expected one of {PLAN_SPEC_GRAMMAR}")
 
 
 @dataclass(frozen=True)
@@ -430,7 +434,8 @@ def read_file(path, kind: str) -> tuple[ModelConfig, FinetunePlan | None, dict]:
         config = ModelConfig(**fields)
     except (TypeError, ValueError) as exc:
         shown = dict(fields) if isinstance(fields, Mapping) else fields
-        raise CheckpointFormatError(f"container config {shown!r} is invalid: {exc}") from exc
+        raise CheckpointFormatError(
+            f"{path}: container config {shown!r} is invalid: {exc}") from exc
     spec = header.get("plan_spec")
     if spec is None and kind == "adapter":
         raise CheckpointFormatError(f"{path}: adapter records no plan spec")

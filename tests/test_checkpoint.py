@@ -336,7 +336,9 @@ def _rewrite_header(path, mutate):
 
 @pytest.mark.parametrize("kind", ["checkpoint", "adapter"])
 @pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
-def test_header_mutation_rejected(store, tmp_path, cli_manifest, kind, mutation):
+def test_header_mutation_rejected(store, tmp_path, cli_manifest, capsys, kind, mutation):
+    """Each bad header raises a ``CheckpointError`` that starts with the
+    file's path, and the CLI prints it as its one ``error:`` line."""
     plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), CFG)
     attach_lora(store, plan, seed=9)
     ckpt, adapter = tmp_path / "model.ckpt", tmp_path / "task.adapter"
@@ -344,16 +346,22 @@ def test_header_mutation_rejected(store, tmp_path, cli_manifest, kind, mutation)
     export_adapter(store, plan, adapter)
 
     if kind == "checkpoint":
+        bad = ckpt
         _rewrite_header(ckpt, HEADER_MUTATIONS[mutation])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError) as caught:
             load_checkpoint_with_plan(ckpt)
         argv = ["eval", "--model", str(ckpt)]
     else:
+        bad = adapter
         _rewrite_header(adapter, HEADER_MUTATIONS[mutation])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError) as caught:
             swap_adapter(store, adapter)
         argv = ["swap-adapter", "--model", str(ckpt), "--adapter", str(adapter)]
+    assert str(caught.value).startswith(f"{bad}: ")
+    capsys.readouterr()
     assert main(argv + ["--manifest", str(cli_manifest)]) == 5
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0]
 
 
 def test_empty_plan_spec_in_a_plain_checkpoint_rejected(store, tmp_path, cli_manifest):

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import spafit.cli as cli
 import spafit.harness as harness
-from spafit import errors
+from spafit import errors, manifest
 from spafit.checkpoint import load_checkpoint_with_plan, read_container, save_checkpoint
 from spafit.cli import main
 from spafit.errors import ManifestError, SpafitError
@@ -77,6 +78,49 @@ seq_len = 9
 train_size = 10
 val_size = 5
 seed = 0
+"""
+
+# Sets every key of every section, none at its default.
+EVERY_KEY_MANIFEST = """\
+[model]
+num_layers = 2
+hidden_size = 16
+num_heads = 2
+ffn_size = 32
+vocab_size = 40
+max_positions = 16
+type_vocab_size = 3
+lora_rank = 4
+lora_alpha = 8
+dropout_p = 0.0
+seed = 3
+
+[plan]
+spec = spafit:N1=0,N2=1,mode=II
+
+[train]
+learning_rate = 2e-3
+batch_size = 8
+epochs = 1
+weight_decay = 0.0
+beta1 = 0.8
+beta2 = 0.99
+eps = 1e-7
+seed = 9
+
+[task]
+kind = pair_classification
+vocab_size = 40
+seq_len = 9
+train_size = 40
+val_size = 20
+num_labels = 2
+noise_std = 0.1
+metric = mcc
+seed = 5
+
+[outputs]
+out_dir = {out_dir}
 """
 
 
@@ -162,6 +206,64 @@ class TestManifest:
         path = tmp_path / "reg.manifest"
         path.write_text(text)
         assert load_manifest(path).model_config.num_labels == 1
+
+    def test_every_key_reaches_its_field_with_its_type(self, tmp_path):
+        path = tmp_path / "every.manifest"
+        path.write_text(EVERY_KEY_MANIFEST.format(out_dir=tmp_path / "out"))
+        m = load_manifest(path)
+
+        def typed(values: dict) -> dict:
+            return {key: (value, type(value)) for key, value in values.items()}
+
+        assert typed(dataclasses.asdict(m.model_config)) == typed(dict(
+            num_layers=2, hidden_size=16, num_heads=2, ffn_size=32, vocab_size=40,
+            max_positions=16, type_vocab_size=3, num_labels=2, lora_rank=4, lora_alpha=8,
+            dropout_p=0.0))
+        assert typed(dataclasses.asdict(m.train_config)) == typed(dict(
+            learning_rate=2e-3, batch_size=8, epochs=1, weight_decay=0.0, betas=(0.8, 0.99),
+            eps=1e-7, seed=9))
+        assert [type(beta) for beta in m.train_config.betas] == [float, float]
+        assert typed(dataclasses.asdict(m.task_spec)) == typed(dict(
+            kind="pair_classification", vocab_size=40, seq_len=9, train_size=40, val_size=20,
+            seed=5, num_labels=2, noise_std=0.1, metric="mcc"))
+        assert typed({"seed": m.model_seed}) == typed({"seed": 3})
+        assert str(m.plan_spec) == "spafit:N1=0,N2=1,mode=II"
+        assert m.out_dir == tmp_path / "out"
+
+    def test_section_keys_types_and_required_keys(self):
+        keys = {name: schema for name, (schema, _) in manifest._SECTIONS.items()}
+        required = {name: needed for name, (_, needed) in manifest._SECTIONS.items()}
+        assert keys == {
+            "model": {"num_layers": int, "hidden_size": int, "num_heads": int,
+                      "ffn_size": int, "vocab_size": int, "max_positions": int,
+                      "type_vocab_size": int, "lora_rank": int, "lora_alpha": int,
+                      "dropout_p": float, "seed": int},
+            "plan": {"spec": str},
+            "train": {"learning_rate": float, "batch_size": int, "epochs": int,
+                      "weight_decay": float, "beta1": float, "beta2": float, "eps": float,
+                      "seed": int},
+            "task": {"kind": str, "vocab_size": int, "seq_len": int, "train_size": int,
+                     "val_size": int, "num_labels": int, "noise_std": float, "metric": str,
+                     "seed": int},
+            "outputs": {"out_dir": str},
+        }
+        assert required == {
+            "model": {"num_layers", "hidden_size", "num_heads", "ffn_size", "vocab_size",
+                      "max_positions", "seed"},
+            "plan": {"spec"},
+            "train": {"seed"},
+            "task": {"kind", "vocab_size", "seq_len", "train_size", "val_size", "seed"},
+            "outputs": set(),
+        }
+
+    def test_schema_refuses_a_field_without_a_manifest_spelling(self):
+        @dataclasses.dataclass
+        class GridConfig:
+            seed: int = 0
+            lr_grid: tuple[float, ...] = (1e-3, 1e-4)
+
+        with pytest.raises(TypeError, match="lr_grid"):
+            manifest._schema(GridConfig)
 
 
 def _manifest_mutations(raw: bytes, seed: int, count: int):

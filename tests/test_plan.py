@@ -13,6 +13,7 @@ from spafit.errors import PlanError
 from spafit.harness import predict
 from spafit.model import ModelConfig, build_model, layer_number, model_forward, param_shapes
 from spafit.plan import (
+    PLAN_SPEC_GRAMMAR,
     Group3Mode,
     ParamStatus,
     PlanKind,
@@ -112,6 +113,20 @@ class TestSpecParsing:
     def test_malformed_rejected(self, bad):
         with pytest.raises(PlanError):
             parse_plan_spec(bad)
+
+    def test_grammar_names_every_spec_the_parser_reads(self):
+        """Each alternative of the grammar, placeholders filled in, parses;
+        together they reach every kind and mode; a bad spec's error shows it."""
+        specs = set()
+        for alternative in PLAN_SPEC_GRAMMAR.split(" | "):
+            head, _, modes = alternative.replace("<i>", "1").replace("<j>", "2").partition("<")
+            for mode in modes.rstrip(">").split("|"):
+                specs.add(parse_plan_spec(head + mode))
+        assert {spec.kind for spec in specs} == set(PlanKind)
+        assert {spec.group3_mode for spec in specs} == {None, *Group3Mode}
+        with pytest.raises(PlanError) as caught:
+            parse_plan_spec("lora")
+        assert str(caught.value).endswith(f"; expected one of {PLAN_SPEC_GRAMMAR}")
 
     def test_layer_count_past_int_conversion_limit_rejected(self):
         with pytest.raises(PlanError, match="too long"):
