@@ -3,9 +3,12 @@
 Subcommands: plan, audit, train, eval, compare, export-adapter, swap-adapter.
 Every command is driven by a manifest file and takes only the override
 flags it reads; each flag's destination is its ``load_manifest`` override
-key. Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 bad usage or malformed spec/manifest, 3 incompatible adapter, 4 training
-divergence (a non-finite loss or logit), 5 I/O or container failure.
+key (``spec``, ``out_dir`` or a ``[train]`` key). Data goes to stdout,
+diagnostics to stderr: an error is one ``error:`` line, which starts with
+the manifest's path when a value the file sets is at fault. Exit codes
+(``_EXIT_CODES``): 0 success, 2 bad usage or malformed spec/manifest,
+3 incompatible adapter, 4 training divergence (a non-finite loss or logit),
+5 I/O or container failure.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ from .plan import (
 )
 from .tasks import generate_task
 
-EXIT_USAGE = 2
-EXIT_INCOMPATIBLE = 3
-EXIT_DIVERGED = 4
-EXIT_IO = 5
+# Each error's exit code: the first entry whose types it is an instance of.
+# Every other ``SpafitError`` is a ``ValueError``.
+_EXIT_CODES = ((CompatibilityError, 3), (TrainingDivergedError, 4),
+               ((OSError, CheckpointError), 5), (ValueError, 2))
 
 # Published figures agree with ours up to display rounding; anything beyond
 # two hundredths of a million is a real convention difference.
@@ -240,18 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         # ``train_run`` and ``predict`` as one error line, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args, _load(args))
-    except CompatibilityError as exc:
+    except (ValueError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (OSError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:  # every other SpafitError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

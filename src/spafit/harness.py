@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ class RunResult:
     metric_name: str
     metric_value: float
     seed: int
+    # Every ``TrainConfig`` field but ``seed``, as the run resolved it.
     hyperparameters: dict
 
 
@@ -150,14 +151,7 @@ def train_run(store: ParamStore, plan: FinetunePlan, task_spec: TaskSpec,
         metric_name=name,
         metric_value=value,
         seed=cfg.seed,
-        hyperparameters={
-            "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size,
-            "epochs": cfg.epochs,
-            "weight_decay": cfg.weight_decay,
-            "betas": list(cfg.betas),
-            "eps": cfg.eps,
-        },
+        hyperparameters={key: value for key, value in asdict(cfg).items() if key != "seed"},
     )
 
 

@@ -5,8 +5,11 @@ A manifest is the single source of configuration for a CLI invocation:
 with one ``key = value`` pair per line. Unknown sections or keys are
 rejected. ``[model]``, ``[train]`` and ``[task]`` take the fields of
 ``ModelConfig`` (less ``num_labels``, set by the task), ``TrainConfig`` (with
-``betas`` as ``beta1`` and ``beta2``) and ``TaskSpec``; the three seeds are
-mandatory so no run ever depends on the wall clock.
+``betas`` as ``beta1`` and ``beta2``, a missing one taking its
+``TrainConfig`` default) and ``TaskSpec``; the three seeds are mandatory so
+no run ever depends on the wall clock. An override may set ``spec``,
+``out_dir`` or any ``[train]`` key. An error in a value the file sets
+starts with the file's path; one in an override does not.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 import configparser
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ManifestError
+from .errors import ManifestError, PlanError, TaskSpecError
 from .model import ModelConfig
 from .optim import TrainConfig
 from .plan import PlanSpec, parse_plan_spec
@@ -108,54 +111,80 @@ def _convert(section: str, values: dict[str, str]) -> dict:
     return out
 
 
+# Keys an override may set: the plan spec, the output directory and every
+# ``[train]`` key.
+_OVERRIDE_KEYS = ("spec", "out_dir", *_SECTIONS["train"][0])
+
+
+def _settle(values: dict, plan_spec: PlanSpec | None, train_config: TrainConfig,
+            out_dir: str | None) -> tuple[PlanSpec, TrainConfig, str]:
+    """``plan_spec``, ``train_config`` and ``out_dir`` with the keys of
+    ``values`` set and checked: ``spec``, ``out_dir`` and ``[train]`` keys,
+    where ``beta1`` and ``beta2`` each set one member of ``betas``."""
+    values = dict(values)
+    if "spec" in values:
+        plan_spec = parse_plan_spec(values.pop("spec"))
+    if "out_dir" in values:
+        out_dir = values.pop("out_dir")
+        if not out_dir:
+            raise ManifestError("out_dir must not be empty")
+    betas = (values.pop("beta1", train_config.betas[0]),
+             values.pop("beta2", train_config.betas[1]))
+    try:
+        train_config = replace(train_config, betas=betas, **values)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc
+    return plan_spec, train_config, out_dir
+
+
 def load_manifest(path: str | Path, overrides: dict | None = None) -> RunManifest:
     """Parse and validate a manifest; ``overrides`` wins over file values.
 
-    Recognized override keys: spec, seed (train seed), learning_rate,
-    batch_size, epochs, out_dir; any other key is ignored. An override that
-    is not None is used, even an empty one. An unset learning rate stays
-    None, so each trained plan uses its own default.
+    Recognized override keys: spec, out_dir and every ``[train]`` key (seed
+    is the train seed); any other key is ignored. An override that is not
+    None is used, even an empty one, and the file value it replaces must
+    read as its type but is not otherwise checked. An error in a value the
+    file sets starts with the file's path; one in an override does not. An
+    unset learning rate stays None, so each trained plan uses its own
+    default.
     """
-    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    overrides = overrides or {}
+    overrides = {key: overrides[key] for key in _OVERRIDE_KEYS
+                 if overrides.get(key) is not None}
     sections = _parse_sections(path)
-
-    model = _convert("model", sections["model"])
-    model_seed = model.pop("seed")
-    if model_seed < 0:
-        raise ManifestError(f"model seed must be >= 0, got {model_seed}")
-
-    plan_spec = parse_plan_spec(overrides.get("spec", sections["plan"]["spec"]))
-
-    task_spec = TaskSpec(**_convert("task", sections["task"]))
-
-    train_raw = _convert("train", sections.get("train", {}))
-    betas = (train_raw.pop("beta1", 0.9), train_raw.pop("beta2", 0.999))
-    for key in ("learning_rate", "batch_size", "epochs", "seed"):
-        if key in overrides:
-            train_raw[key] = overrides[key]
     try:
-        train_config = TrainConfig(betas=betas, **train_raw)
-        model_config = ModelConfig(num_labels=task_spec.model_num_labels, **model)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
-    # The model must embed every token id and position the task generates;
-    # checked here, before any data is generated or any model built.
-    if task_spec.vocab_size > model_config.vocab_size:
-        raise ManifestError(
-            f"[task] vocab_size {task_spec.vocab_size} exceeds [model] vocab_size "
-            f"{model_config.vocab_size}: the model cannot embed the task's token ids")
-    if task_spec.seq_len > model_config.max_positions:
-        raise ManifestError(
-            f"[task] seq_len {task_spec.seq_len} exceeds [model] max_positions "
-            f"{model_config.max_positions}: the model cannot embed the task's positions")
-    if task_spec.kind != SINGLE_CLASSIFICATION and model_config.type_vocab_size < 2:
-        raise ManifestError(
-            f"[model] type_vocab_size {model_config.type_vocab_size} is below 2: a pair "
-            f"task's second segment has type id 1")
-
-    out_dir = overrides.get("out_dir", sections.get("outputs", {}).get("out_dir", "runs"))
-    if not out_dir:
-        raise ManifestError("out_dir must not be empty")
+        model = _convert("model", sections["model"])
+        model_seed = model.pop("seed")
+        if model_seed < 0:
+            raise ManifestError(f"model seed must be >= 0, got {model_seed}")
+        task_spec = TaskSpec(**_convert("task", sections["task"]))
+        try:
+            model_config = ModelConfig(num_labels=task_spec.model_num_labels, **model)
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from exc
+        # The model must embed every token id and position the task generates;
+        # checked here, before any data is generated or any model built.
+        if task_spec.vocab_size > model_config.vocab_size:
+            raise ManifestError(
+                f"[task] vocab_size {task_spec.vocab_size} exceeds [model] vocab_size "
+                f"{model_config.vocab_size}: the model cannot embed the task's token ids")
+        if task_spec.seq_len > model_config.max_positions:
+            raise ManifestError(
+                f"[task] seq_len {task_spec.seq_len} exceeds [model] max_positions "
+                f"{model_config.max_positions}: the model cannot embed the task's positions")
+        if task_spec.kind != SINGLE_CLASSIFICATION and model_config.type_vocab_size < 2:
+            raise ManifestError(
+                f"[model] type_vocab_size {model_config.type_vocab_size} is below 2: a pair "
+                f"task's second segment has type id 1")
+        given = {"spec": sections["plan"]["spec"],
+                 "out_dir": sections.get("outputs", {}).get("out_dir", "runs"),
+                 **_convert("train", sections.get("train", {}))}
+        settled = _settle({key: value for key, value in given.items() if key not in overrides},
+                          None, TrainConfig(), None)
+    except (ManifestError, TaskSpecError, PlanError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    plan_spec, train_config, out_dir = _settle(overrides, *settled)
     return RunManifest(model_config=model_config, model_seed=model_seed,
                        plan_spec=plan_spec, train_config=train_config,
                        task_spec=task_spec, out_dir=Path(out_dir))

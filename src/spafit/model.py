@@ -20,7 +20,7 @@ import json
 import math
 import os
 import struct
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -104,25 +104,29 @@ LAYER_SUBPATHS: tuple[tuple[str, str], ...] = (
 )
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Ordered map of every canonical parameter path to its shape."""
+def iter_param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every canonical parameter path with its shape, in layout order, one at
+    a time: a reader can name a file's first missing tensor without listing
+    all the layers its header claims."""
     d, f = config.hidden_size, config.ffn_size
     kinds = {"dxd": (d, d), "fxd": (f, d), "dxf": (d, f), "d": (d,), "f": (f,)}
-    shapes: dict[str, tuple[int, ...]] = {
-        "embeddings.word_embeddings.weight": (config.vocab_size, d),
-        "embeddings.position_embeddings.weight": (config.max_positions, d),
-        "embeddings.token_type_embeddings.weight": (config.type_vocab_size, d),
-        "embeddings.LayerNorm.weight": (d,),
-        "embeddings.LayerNorm.bias": (d,),
-    }
+    yield "embeddings.word_embeddings.weight", (config.vocab_size, d)
+    yield "embeddings.position_embeddings.weight", (config.max_positions, d)
+    yield "embeddings.token_type_embeddings.weight", (config.type_vocab_size, d)
+    yield "embeddings.LayerNorm.weight", (d,)
+    yield "embeddings.LayerNorm.bias", (d,)
     for i in range(config.num_layers):
         for sub, kind in LAYER_SUBPATHS:
-            shapes[f"encoder.layer.{i}.{sub}"] = kinds[kind]
-    shapes["pooler.dense.weight"] = (d, d)
-    shapes["pooler.dense.bias"] = (d,)
-    shapes["classifier.weight"] = (config.num_labels, d)
-    shapes["classifier.bias"] = (config.num_labels,)
-    return shapes
+            yield f"encoder.layer.{i}.{sub}", kinds[kind]
+    yield "pooler.dense.weight", (d, d)
+    yield "pooler.dense.bias", (d,)
+    yield "classifier.weight", (config.num_labels, d)
+    yield "classifier.bias", (config.num_labels,)
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Ordered map of every canonical parameter path to its shape."""
+    return dict(iter_param_shapes(config))
 
 
 def total_parameter_count(config: ModelConfig) -> int:

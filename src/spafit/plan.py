@@ -32,7 +32,7 @@ import functools
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -46,11 +46,13 @@ from .errors import (
 )
 from .model import (
     INIT_STD,
+    LAYER_SUBPATHS,
     LoraPair,
     ModelConfig,
     ParamStore,
     factor_names,
     is_head_path,
+    iter_param_shapes,
     layer_number,
     param_shapes,
     read_container,
@@ -419,10 +421,14 @@ def file_layout(kind: str, config: ModelConfig,
     return param_shapes(config) | ({} if plan is None else plan.factors)
 
 
-def read_file(path, kind: str) -> tuple[ModelConfig, FinetunePlan | None, dict]:
-    """The config, recorded plan and tensors of a file of ``kind``. A header
-    records a plan iff its ``plan_spec`` is a string, which must parse and
-    fit the file's config; an adapter must record one. Every tensor must be
+def read_file(path, kind: str, target: ModelConfig | None = None
+              ) -> tuple[ModelConfig, FinetunePlan | None, dict]:
+    """The config, recorded plan and tensors of a file of ``kind``. The
+    header is checked against its target before anything is built from it:
+    the config must equal ``target`` if one is given, and a checkpoint must
+    hold at least the tensors of its config's base layout. A header records
+    a plan iff its ``plan_spec`` is a string, which must parse and fit the
+    file's config; an adapter must record one. Every tensor must be
     ``file_layout``'s: any extra, missing or misshapen one is named."""
     header, tensors = read_container(path)
     if header.get("kind") != kind:
@@ -436,6 +442,15 @@ def read_file(path, kind: str) -> tuple[ModelConfig, FinetunePlan | None, dict]:
         shown = dict(fields) if isinstance(fields, Mapping) else fields
         raise CheckpointFormatError(
             f"{path}: container config {shown!r} is invalid: {exc}") from exc
+    if target is not None and config != target:
+        raise CompatibilityError(f"{path}: {kind} built for {config} cannot attach to a "
+                                 f"store configured {target}")
+    if kind == "checkpoint" and len(tensors) < len(param_shapes(replace(
+            config, num_layers=0))) + config.num_layers * len(LAYER_SUBPATHS):
+        # Found within the first len(tensors) + 1 paths, however many layers
+        # the header claims.
+        missing = next(name for name, _ in iter_param_shapes(config) if name not in tensors)
+        raise UnknownTensorError(f"{path}: missing tensor {missing!r}")
     spec = header.get("plan_spec")
     if spec is None and kind == "adapter":
         raise CheckpointFormatError(f"{path}: adapter records no plan spec")
@@ -482,17 +497,13 @@ def export_adapter(store: ParamStore, plan: FinetunePlan, path) -> None:
 def swap_adapter(store: ParamStore, adapter_path) -> FinetunePlan:
     """Retarget ``store`` to the task captured in an adapter file.
 
-    The file is checked before the store changes. Each tensor any swap has
-    overwritten is written once, with this adapter's value or the base
-    value it held before its first swap, so the store ends as that base plus
-    this adapter. Returns the plan now governing the store.
+    The file, whose config must be the store's, is checked before the store
+    changes. Each tensor any swap has overwritten is written once, with this
+    adapter's value or the base value it held before its first swap, so the
+    store ends as that base plus this adapter. Returns the plan now
+    governing the store.
     """
-    config, plan, tensors = read_file(adapter_path, "adapter")
-    if config != store.config:
-        raise CompatibilityError(
-            f"adapter built for {config} cannot attach to a store "
-            f"configured {store.config}")
-
+    _, plan, tensors = read_file(adapter_path, "adapter", store.config)
     attach_factors(store, plan, tensors)
     for path in plan.trainable:
         if path in store.params and path not in store.swapped_base:

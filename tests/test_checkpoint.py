@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spafit.model as model_module
+import spafit.plan as plan_module
 from spafit.checkpoint import (
     load_checkpoint_with_plan,
     read_container,
@@ -362,6 +363,61 @@ def test_header_mutation_rejected(store, tmp_path, cli_manifest, capsys, kind, m
     assert main(argv + ["--manifest", str(cli_manifest)]) == 5
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0]
+
+
+@pytest.mark.parametrize("kind, code", [("checkpoint", 5), ("adapter", 3)])
+def test_header_claiming_a_huge_stack_rejected_before_any_plan_or_layout(
+        store, tmp_path, cli_manifest, capsys, monkeypatch, kind, code):
+    """A header whose ``num_layers`` is 10^9 is checked against its target
+    first: a checkpoint holds too few tensors for its config's base layout,
+    an adapter's config is not the store's. Neither compiles a plan nor lists
+    a layout for that config, and the reader draws no more base paths than
+    the file holds tensors, plus one."""
+    plan = compile_plan(parse_plan_spec("spafit:N1=0,N2=1,mode=II"), CFG)
+    attach_lora(store, plan, seed=9)
+    ckpt, adapter = tmp_path / "model.ckpt", tmp_path / "task.adapter"
+    save_checkpoint(store, ckpt, plan)
+    export_adapter(store, plan, adapter)
+    bad = tmp_path / f"huge.{kind}"
+    bad.write_bytes((ckpt if kind == "checkpoint" else adapter).read_bytes())
+    _rewrite_header(bad, _set_config(num_layers=10**9))
+    held = len(read_container(bad)[1])
+
+    def refuse_the_huge_config(real):
+        def call(*args):
+            if any(getattr(arg, "num_layers", 0) == 10**9 for arg in args):
+                raise AssertionError(f"{real.__name__} called for the header's config")
+            return real(*args)
+        return call
+
+    drawn = []
+
+    def counted(config):
+        for item in model_module.iter_param_shapes(config):
+            drawn.append(item)
+            yield item
+
+    for name in ("compile_plan", "param_shapes"):
+        monkeypatch.setattr(plan_module, name,
+                            refuse_the_huge_config(getattr(plan_module, name)))
+    monkeypatch.setattr(plan_module, "iter_param_shapes", counted, raising=False)
+
+    if kind == "checkpoint":
+        with pytest.raises(UnknownTensorError, match="missing tensor") as caught:
+            load_checkpoint_with_plan(bad)
+        argv = ["eval", "--model", str(bad)]
+    else:
+        with pytest.raises(CompatibilityError, match="cannot attach") as caught:
+            swap_adapter(store, bad)
+        argv = ["swap-adapter", "--model", str(ckpt), "--adapter", str(bad)]
+    assert str(caught.value).startswith(f"{bad}: ")
+    assert len(drawn) <= held + 1
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    assert main(argv + ["--manifest", str(cli_manifest)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+    assert ckpt.read_bytes() == before
 
 
 def test_empty_plan_spec_in_a_plain_checkpoint_rejected(store, tmp_path, cli_manifest):

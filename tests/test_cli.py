@@ -13,10 +13,11 @@ import spafit.harness as harness
 from spafit import errors, manifest
 from spafit.checkpoint import load_checkpoint_with_plan, read_container, save_checkpoint
 from spafit.cli import main
-from spafit.errors import ManifestError, SpafitError
+from spafit.errors import ManifestError, PlanError, SpafitError, TaskSpecError
 from spafit.manifest import load_manifest
 from spafit.model import build_model
-from spafit.plan import attach_lora, compile_plan
+from spafit.optim import TrainConfig
+from spafit.plan import PLAN_SPEC_GRAMMAR, attach_lora, compile_plan
 
 MANIFEST = """\
 [model]
@@ -158,11 +159,13 @@ class TestManifest:
         assert m.task_spec.kind == "pair_classification"
         assert m.out_dir == tmp_path / "out"
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.manifest"
         path.write_text(MANIFEST.format(out_dir=tmp_path) + "\nturbo = yes\n")
         with pytest.raises(ManifestError, match="turbo"):
             load_manifest(path)
+        assert main(["plan", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown key 'turbo' in [outputs]\n"
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.manifest"
@@ -190,6 +193,20 @@ class TestManifest:
         assert m.train_config.seed == 77
         assert m.train_config.learning_rate == 1e-4
         assert m.train_config.epochs == 1
+
+    def test_every_train_key_overrides(self, manifest_path):
+        m = load_manifest(manifest_path, {"weight_decay": 0.5, "eps": 1e-6, "beta2": 0.95})
+        assert m.train_config.weight_decay == 0.5
+        assert m.train_config.eps == 1e-6
+        assert m.train_config.betas == (TrainConfig().betas[0], 0.95)
+
+    def test_file_value_an_override_replaces_is_not_checked(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), "train",
+                                  "eps = 0\nbeta1 = 2\nseed = -1"))
+        m = load_manifest(path, {"eps": 1e-6, "beta1": 0.5, "seed": 4})
+        assert (m.train_config.eps, m.train_config.betas[0], m.train_config.seed) \
+            == (1e-6, 0.5, 4)
 
     def test_default_lr_depends_on_plan_kind(self, tmp_path, capsys):
         path = tmp_path / "nolr.manifest"
@@ -328,6 +345,41 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return action.choices
 
 
+class TestManifestErrorsNameTheFile:
+    """An error in a value the manifest file sets starts with the file's
+    path, once; its type is the one the failing check raises."""
+
+    @pytest.mark.parametrize("section, line, error, message", [
+        ("model", "num_layers = two", ManifestError,
+         "[model] num_layers='two' is not a valid int"),
+        ("model", "seed = -1", ManifestError, "model seed must be >= 0, got -1"),
+        ("model", "hidden_size = 7", ManifestError,
+         "hidden_size 7 not divisible by num_heads 2"),
+        ("task", "kind = bogus", TaskSpecError, "unknown task kind 'bogus'"),
+        ("plan", "spec = bogus", PlanError,
+         f"unrecognized plan spec 'bogus'; expected one of {PLAN_SPEC_GRAMMAR}"),
+        ("outputs", "out_dir =", ManifestError, "out_dir must not be empty"),
+        ("train", "eps = 0", ManifestError, "eps must be finite and > 0, got 0.0"),
+        ("task", "vocab_size = 400", ManifestError,
+         "[task] vocab_size 400 exceeds [model] vocab_size 40: the model cannot embed "
+         "the task's token ids"),
+        ("task", "seq_len = 17", ManifestError,
+         "[task] seq_len 17 exceeds [model] max_positions 16: the model cannot embed "
+         "the task's positions"),
+        ("model", "type_vocab_size = 1", ManifestError,
+         "[model] type_vocab_size 1 is below 2: a pair task's second segment has type id 1"),
+    ])
+    def test_value_error_names_the_file(self, tmp_path, capsys, section, line, error,
+                                        message):
+        path = tmp_path / "bad.manifest"
+        path.write_text(_set_keys(MANIFEST.format(out_dir=tmp_path / "out"), section, line))
+        with pytest.raises(error) as info:
+            load_manifest(path)
+        assert type(info.value) is error
+        assert main(["plan", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 class TestFlagSurface:
     def test_each_command_declares_only_the_flags_it_reads(self):
         declared = {
@@ -378,7 +430,8 @@ class TestFlagSurface:
         with pytest.raises(ManifestError, match="out_dir"):
             load_manifest(path, {"out_dir": "" if flags else None})
         assert main(["train", "--manifest", str(path), *flags]) == 2
-        assert capsys.readouterr().err == "error: out_dir must not be empty\n"
+        named = "" if flags else f"{path}: "
+        assert capsys.readouterr().err == f"error: {named}out_dir must not be empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.manifest"]
 
     @pytest.mark.parametrize("command, flag", [

@@ -193,6 +193,16 @@ class TestTrainRun:
             assert type(result.hyperparameters[name]) is int, name
 
 
+    def test_record_holds_every_train_field_but_seed(self, datasets):
+        cfg = sp.TrainConfig(epochs=1, weight_decay=0.5, betas=(0.8, 0.95), eps=1e-6, seed=4)
+        _, result = fresh_run(cfg, datasets=datasets)
+        resolved = dataclasses.replace(cfg, learning_rate=harness.DEFAULT_LR_PEFT)
+        names = [field.name for field in dataclasses.fields(sp.TrainConfig)]
+        assert list(result.hyperparameters) == [name for name in names if name != "seed"]
+        for name, value in result.hyperparameters.items():
+            assert value == getattr(resolved, name), name
+
+
 class TestPredict:
     # The README demo dims, one request of 64 examples.
     DESK = sp.ModelConfig(num_layers=4, hidden_size=32, num_heads=4, ffn_size=64,
